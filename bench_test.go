@@ -7,8 +7,6 @@ package sfccover_test
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -768,8 +766,9 @@ func BenchmarkBrokerChurnEnginePrefix(b *testing.B) { benchBrokerChurn(b, broker
 type lockstepClient struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	sc     *bufio.Scanner
-	w      *bufio.Writer
+	br     *bufio.Reader
+	frame  []byte // reused request frame
+	body   []byte // reused response body
 	nextID uint64
 }
 
@@ -778,36 +777,26 @@ func dialLockstep(addr string) (*lockstepClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &lockstepClient{conn: conn, sc: bufio.NewScanner(conn), w: bufio.NewWriter(conn)}
-	c.sc.Buffer(make([]byte, 64<<10), sfcd.MaxLineBytes)
-	return c, nil
+	return &lockstepClient{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 func (c *lockstepClient) query(s *subscription.Subscription) error {
-	raw, err := s.MarshalBinary()
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	line, err := json.Marshal(&sfcd.Request{
-		ID: c.nextID, Op: "query", Payload: base64.StdEncoding.EncodeToString(raw),
+	c.frame = sfcd.AppendRequest(c.frame[:0], &sfcd.Request{
+		ID: c.nextID, Op: sfcd.OpQuery, Payload: s.AppendBinary(nil),
 	})
+	if _, err := c.conn.Write(c.frame); err != nil {
+		return err
+	}
+	body, err := sfcd.ReadFrame(c.br, c.body)
+	c.body = body
 	if err != nil {
-		return err
+		return fmt.Errorf("connection closed (%v)", err)
 	}
-	if _, err := c.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	if !c.sc.Scan() {
-		return fmt.Errorf("connection closed (%v)", c.sc.Err())
-	}
-	var resp sfcd.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	resp, err := sfcd.DecodeResponse(body)
+	if err != nil {
 		return err
 	}
 	if !resp.OK {

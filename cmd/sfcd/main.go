@@ -1,7 +1,7 @@
 // Command sfcd serves covering detection over the network: a sharded,
-// concurrent detection engine behind the sfcd line protocol
-// (newline-delimited JSON over TCP, subscriptions and events in the binary
-// wire format).
+// concurrent detection engine behind the sfcd frame protocol
+// (length-prefixed binary frames over TCP, subscriptions and events in
+// their binary wire format).
 //
 // Usage:
 //

@@ -3,10 +3,9 @@ package sfcd
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -53,8 +52,8 @@ var (
 // so reissuing it on the next connection is exactly-once safe. do wraps
 // the terminal error with it and, in failover mode, retries instead of
 // surfacing it. A frame the writer did pick up is never marked — the write
-// may have partially reached the server, and a newline-framed request that
-// made it out whole may have been applied with its response lost, so those
+// may have partially reached the server, and a request frame that made it
+// out whole may have been applied with its response lost, so those
 // fail typed with ErrConnectionLost like before.
 var errUnsent = errors.New("request was never written")
 
@@ -135,8 +134,8 @@ type clientConn struct {
 // tagged with the request id so the writer can mark the pending entry
 // handed (see pendingReq.handed) the moment it picks the frame up.
 type outFrame struct {
-	id   uint64
-	line []byte
+	id    uint64
+	frame *frameBuf
 }
 
 // pendingReq is one in-flight request's demux state. handed flips
@@ -284,7 +283,7 @@ func (c *Client) dialOne(ctx context.Context, addr string) (*clientConn, error) 
 
 	hctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
-	resp, err := c.doConn(hctx, cc, &Request{Op: "hello"})
+	resp, err := c.doConn(hctx, cc, &Request{Op: OpHello})
 	if err != nil {
 		cc.shutdown(ErrClientClosed)
 		return nil, err
@@ -635,31 +634,41 @@ func (cc *clientConn) writeLoop() {
 
 // write marks the frame's pending entry handed — from here on its bytes
 // may reach the server, so a failure must not reissue it — and hands the
-// line to the buffered writer. The mark goes through the pending map
-// under cc.mu (never a retained pointer): an abandoned request's entry is
-// already gone, so its pooled pendingReq can never be scribbled on.
+// frame to the buffered writer, recycling its buffer. The mark goes
+// through the pending map under cc.mu (never a retained pointer): an
+// abandoned request's entry is already gone, so its pooled pendingReq
+// can never be scribbled on.
 func (cc *clientConn) write(w *bufio.Writer, f outFrame) (int, error) {
 	cc.mu.Lock()
 	if pr, ok := cc.pending[f.id]; ok {
 		pr.handed = true
 	}
 	cc.mu.Unlock()
-	return w.Write(f.line)
+	n, err := w.Write(f.frame.b)
+	putFrame(f.frame)
+	return n, err
 }
 
-// readLoop demultiplexes response lines to their waiting callers by
+// readLoop demultiplexes response frames to their waiting callers by
 // request id. Responses for abandoned requests are dropped; an id-0
 // frame is a connection-level server error and terminates the client.
 func (cc *clientConn) readLoop() {
 	defer cc.wg.Done()
-	sc := bufio.NewScanner(cc.conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
+	br := bufio.NewReaderSize(cc.conn, 64<<10)
+	var buf []byte // reused: DecodeResponse copies what it keeps
+	for {
+		body, err := ReadFrame(br, buf)
+		buf = body
+		if errors.Is(err, io.EOF) {
+			cc.fail(fmt.Errorf("%w: connection closed by server", ErrConnectionLost))
+			return
 		}
-		resp := new(Response)
-		if err := json.Unmarshal(sc.Bytes(), resp); err != nil {
+		if err != nil {
+			cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+			return
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil {
 			cc.fail(fmt.Errorf("sfcd: malformed response: %w", err))
 			return
 		}
@@ -678,11 +687,6 @@ func (cc *clientConn) readLoop() {
 		}
 		cc.mu.Unlock()
 	}
-	if err := sc.Err(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-		return
-	}
-	cc.fail(fmt.Errorf("%w: connection closed by server", ErrConnectionLost))
 }
 
 // do issues one request and waits for its response. It applies the
@@ -731,26 +735,26 @@ func (c *Client) doConn(ctx context.Context, cc *clientConn, req *Request) (*Res
 		return nil, err
 	}
 	req.ID = id
-	line, err := json.Marshal(req)
-	if err != nil {
+	frame := getFrame()
+	frame.b = AppendRequest(frame.b, req)
+	// The server drops the connection on frames beyond MaxFrameBytes;
+	// fail the request with an actionable error instead (split the batch).
+	if n := len(frame.b) - 4; n > MaxFrameBytes {
+		putFrame(frame)
 		cc.abandon(id, pr)
-		return nil, fmt.Errorf("sfcd: send: %w", err)
-	}
-	// The server drops the connection on lines beyond MaxLineBytes; fail
-	// the request with an actionable error instead (split the batch).
-	if len(line) >= MaxLineBytes {
-		cc.abandon(id, pr)
-		return nil, fmt.Errorf("sfcd: request line is %d bytes, server cap is %d: split the batch", len(line), MaxLineBytes)
+		return nil, fmt.Errorf("sfcd: request frame is %d bytes, server cap is %d: split the batch", n, MaxFrameBytes)
 	}
 	//sfc:allowclock one clock pair per request is the round-trip histogram's contract: it times every client op exactly
 	t0 := time.Now()
 	select {
-	case cc.writeCh <- outFrame{id: id, line: append(line, '\n')}:
+	case cc.writeCh <- outFrame{id: id, frame: frame}:
 	case <-ctx.Done():
+		putFrame(frame)
 		cc.abandon(id, pr)
 		return nil, fmt.Errorf("sfcd: %s: %w", req.Op, ctx.Err())
 	case <-cc.done:
 		// The frame was never even enqueued: provably unsent.
+		putFrame(frame)
 		cc.abandon(id, pr)
 		return nil, fmt.Errorf("%w: %w", errUnsent, cc.terminalErr())
 	}
@@ -800,40 +804,16 @@ func checkResponse(resp *Response) (*Response, error) {
 	return resp, nil
 }
 
-func (c *Client) encodeSub(s *subscription.Subscription) (string, error) {
-	raw, err := s.MarshalBinary()
-	if err != nil {
-		return "", fmt.Errorf("sfcd: %w", err)
-	}
-	return base64.StdEncoding.EncodeToString(raw), nil
-}
-
-func (c *Client) encodeSubs(subs []*subscription.Subscription) ([]string, error) {
-	payloads := make([]string, len(subs))
-	for i, s := range subs {
-		p, err := c.encodeSub(s)
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = p
-	}
-	return payloads, nil
-}
-
 // Ping checks liveness.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "ping"})
+	_, err := c.do(ctx, &Request{Op: OpPing})
 	return err
 }
 
 // Subscribe stores s on the server, returning its id and the outcome of
 // the pre-insert covering query.
 func (c *Client) Subscribe(ctx context.Context, s *subscription.Subscription) (sid uint64, covered bool, coveredBy uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "subscribe", Payload: payload})
+	resp, err := c.do(ctx, &Request{Op: OpSubscribe, sub: s})
 	if err != nil {
 		return 0, false, 0, err
 	}
@@ -846,11 +826,7 @@ func (c *Client) Subscribe(ctx context.Context, s *subscription.Subscription) (s
 // SubscribeBatch stores a batch in one round trip. The results align with
 // subs; per-item failures are reported in Result.Error.
 func (c *Client) SubscribeBatch(ctx context.Context, subs []*subscription.Subscription) ([]Result, error) {
-	payloads, err := c.encodeSubs(subs)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "subscribe_batch", Payloads: payloads})
+	resp, err := c.do(ctx, &Request{Op: OpSubscribeBatch, subs: subs})
 	if err != nil {
 		return nil, err
 	}
@@ -863,11 +839,7 @@ func (c *Client) SubscribeBatch(ctx context.Context, subs []*subscription.Subscr
 // Insert stores s without the pre-insert covering query — the
 // Provider.Insert path — and returns its id.
 func (c *Client) Insert(ctx context.Context, s *subscription.Subscription) (uint64, error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "insert", Payload: payload})
+	resp, err := c.do(ctx, &Request{Op: OpInsert, sub: s})
 	if err != nil {
 		return 0, err
 	}
@@ -879,13 +851,13 @@ func (c *Client) Insert(ctx context.Context, s *subscription.Subscription) (uint
 
 // Unsubscribe removes the subscription with the given id.
 func (c *Client) Unsubscribe(ctx context.Context, sid uint64) error {
-	_, err := c.do(ctx, &Request{Op: "unsubscribe", SID: sid})
+	_, err := c.do(ctx, &Request{Op: OpUnsubscribe, SID: sid})
 	return err
 }
 
 // UnsubscribeBatch removes a batch of ids in one round trip.
 func (c *Client) UnsubscribeBatch(ctx context.Context, sids []uint64) ([]Result, error) {
-	resp, err := c.do(ctx, &Request{Op: "unsubscribe_batch", SIDs: sids})
+	resp, err := c.do(ctx, &Request{Op: OpUnsubscribeBatch, SIDs: sids})
 	if err != nil {
 		return nil, err
 	}
@@ -898,11 +870,7 @@ func (c *Client) UnsubscribeBatch(ctx context.Context, sids []uint64) ([]Result,
 // Query asks whether any stored subscription covers s, without storing
 // anything.
 func (c *Client) Query(ctx context.Context, s *subscription.Subscription) (covered bool, coveredBy uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "query", Payload: payload})
+	resp, err := c.do(ctx, &Request{Op: OpQuery, sub: s})
 	if err != nil {
 		return false, 0, err
 	}
@@ -914,11 +882,7 @@ func (c *Client) Query(ctx context.Context, s *subscription.Subscription) (cover
 
 // QueryBatch runs a batch of covering queries in one round trip.
 func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscription) ([]Result, error) {
-	payloads, err := c.encodeSubs(subs)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "query_batch", Payloads: payloads})
+	resp, err := c.do(ctx, &Request{Op: OpQueryBatch, subs: subs})
 	if err != nil {
 		return nil, err
 	}
@@ -934,11 +898,7 @@ func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscripti
 // (exact mode scans exactly; approximate mode needs TrackCovered and may
 // miss but never misreports).
 func (c *Client) QueryCovered(ctx context.Context, s *subscription.Subscription) (covered bool, coveredID uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "covered", Payload: payload})
+	resp, err := c.do(ctx, &Request{Op: OpCovered, sub: s})
 	if err != nil {
 		return false, 0, err
 	}
@@ -950,18 +910,14 @@ func (c *Client) QueryCovered(ctx context.Context, s *subscription.Subscription)
 
 // Subscription resolves a stored id back to its subscription.
 func (c *Client) Subscription(ctx context.Context, sid uint64) (*subscription.Subscription, error) {
-	resp, err := c.do(ctx, &Request{Op: "get", SID: sid})
+	resp, err := c.do(ctx, &Request{Op: OpGet, SID: sid})
 	if err != nil {
 		return nil, err
 	}
 	if resp.Result == nil {
 		return nil, errors.New("sfcd: response carries no result")
 	}
-	raw, err := base64.StdEncoding.DecodeString(resp.Result.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("sfcd: malformed get payload: %w", err)
-	}
-	sub, err := subscription.UnmarshalSubscription(c.schema, raw)
+	sub, err := subscription.UnmarshalSubscription(c.schema, resp.Result.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("sfcd: %w", err)
 	}
@@ -971,7 +927,7 @@ func (c *Client) Subscription(ctx context.Context, sid uint64) (*subscription.Su
 // Metrics fetches the server counters rendered in the Prometheus text
 // exposition format.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, &Request{Op: "metrics"})
+	resp, err := c.do(ctx, &Request{Op: OpMetrics})
 	if err != nil {
 		return "", err
 	}
@@ -985,7 +941,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // a daemon already serving as primary): it stops the follower's stream,
 // hydrates the engine from the durable store and starts serving writes.
 func (c *Client) Promote(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "promote"})
+	_, err := c.do(ctx, &Request{Op: OpPromote})
 	return err
 }
 
@@ -997,7 +953,7 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 	if err != nil {
 		return false, 0, fmt.Errorf("sfcd: %w", err)
 	}
-	resp, err := c.do(ctx, &Request{Op: "match", Payload: base64.StdEncoding.EncodeToString(raw)})
+	resp, err := c.do(ctx, &Request{Op: OpMatch, Payload: raw})
 	if err != nil {
 		return false, 0, err
 	}
@@ -1013,7 +969,7 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 // boundaries (hash partition, non-SFC strategies) answer with a
 // *ServerError carrying CodeUnsupported.
 func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
-	resp, err := c.do(ctx, &Request{Op: "rebalance"})
+	resp, err := c.do(ctx, &Request{Op: OpRebalance})
 	if err != nil {
 		return RebalanceInfo{}, err
 	}
@@ -1028,7 +984,7 @@ func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
 // shared) and compacts the log behind it. Daemons running without a data
 // dir answer with a *ServerError carrying CodeUnsupported.
 func (c *Client) Snapshot(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "snapshot"})
+	_, err := c.do(ctx, &Request{Op: OpSnapshot})
 	return err
 }
 
@@ -1047,11 +1003,7 @@ func (c *Client) Latency() map[string]obs.Snapshot {
 // timings (decomposition, probe loop, shard fan-out), per-slice probe
 // counts and the query's cost stats.
 func (c *Client) TraceQuery(ctx context.Context, s *subscription.Subscription) (covered bool, coveredBy uint64, trace *Trace, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return false, 0, nil, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "trace", Payload: payload})
+	resp, err := c.do(ctx, &Request{Op: OpTrace, sub: s})
 	if err != nil {
 		return false, 0, nil, err
 	}
@@ -1064,7 +1016,7 @@ func (c *Client) TraceQuery(ctx context.Context, s *subscription.Subscription) (
 // SlowLog fetches the daemon's ring of recent slow-query traces, newest
 // first. A daemon running with telemetry off returns an empty batch.
 func (c *Client) SlowLog(ctx context.Context) ([]Trace, error) {
-	resp, err := c.do(ctx, &Request{Op: "slowlog"})
+	resp, err := c.do(ctx, &Request{Op: OpSlowlog})
 	if err != nil {
 		return nil, err
 	}
@@ -1073,7 +1025,7 @@ func (c *Client) SlowLog(ctx context.Context) ([]Trace, error) {
 
 // Stats fetches the server's counter snapshot.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	resp, err := c.do(ctx, &Request{Op: "stats"})
+	resp, err := c.do(ctx, &Request{Op: OpStats})
 	if err != nil {
 		return Stats{}, err
 	}

@@ -2,10 +2,9 @@ package sfcd
 
 import (
 	"bufio"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -24,7 +23,7 @@ import (
 // (after a reconnect) deduplicates by position instead of diverging.
 
 // maxRepFrameRecords bounds one stream frame so a large catch-up batch
-// or reset dump splits across lines instead of hitting MaxLineBytes.
+// or reset dump splits across frames instead of hitting MaxFrameBytes.
 const maxRepFrameRecords = 1024
 
 // followDialTimeout bounds one connection attempt to the primary.
@@ -38,17 +37,17 @@ const followDialTimeout = 5 * time.Second
 // stream lives.
 func (s *Server) serveReplicate(req Request, cs *connState) {
 	if s.store == nil {
-		cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}}
+		cs.respCh <- connResponse{resp: &Response{ID: req.ID, Op: OpReplicate, OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}}
 		return
 	}
 	t, err := s.store.Tail(req.Pos)
 	if err != nil {
-		cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeOpFailed, Error: err.Error()}}
+		cs.respCh <- connResponse{resp: &Response{ID: req.ID, Op: OpReplicate, OK: false, Code: CodeOpFailed, Error: err.Error()}}
 		return
 	}
 	defer t.Close()
 	// The connection now carries an open-ended stream: the follower
-	// sends nothing after its replicate line, which must not read as
+	// sends nothing after its replicate frame, which must not read as
 	// idleness, so lift the read deadline for the connection's lifetime.
 	cs.streaming.Store(true)
 	cs.conn.SetReadDeadline(time.Time{})
@@ -59,11 +58,11 @@ func (s *Server) serveReplicate(req Request, cs *connState) {
 		if err != nil {
 			// Best effort: if the follower is still there, the error frame
 			// tells it to re-request from its applied position.
-			cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeOpFailed, Error: err.Error()}}
+			cs.respCh <- connResponse{resp: &Response{ID: req.ID, Op: OpReplicate, OK: false, Code: CodeOpFailed, Error: err.Error()}}
 			return
 		}
 		for _, f := range repFrames(b) {
-			cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: true, Rep: f}}
+			cs.respCh <- connResponse{resp: &Response{ID: req.ID, Op: OpReplicate, OK: true, Rep: f}}
 		}
 		s.repStreamed.Add(uint64(len(b.Recs)))
 	}
@@ -84,7 +83,7 @@ func repFrames(b persist.TailBatch) []*RepFrame {
 	for off := 0; off < len(b.Recs); off += maxRepFrameRecords {
 		end := min(off+maxRepFrameRecords, len(b.Recs))
 		chunk := b.Recs[off:end]
-		f := &RepFrame{Recs: base64.StdEncoding.EncodeToString(persist.EncodeRecords(chunk))}
+		f := &RepFrame{Recs: persist.EncodeRecords(chunk)}
 		if b.Reset {
 			f.Reset = true
 			f.More = end < len(b.Recs)
@@ -170,30 +169,30 @@ func (s *Server) followOnce() error {
 			return false
 		}
 	}
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	var buf []byte // reused: DecodeResponse copies the records out
 	readResp := func() (*Response, error) {
-		for {
-			if !sc.Scan() {
-				if err := sc.Err(); err != nil {
-					return nil, err
-				}
-				return nil, errors.New("stream closed")
-			}
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			resp := new(Response)
-			if err := json.Unmarshal(sc.Bytes(), resp); err != nil {
-				return nil, fmt.Errorf("malformed stream frame: %w", err)
-			}
-			return resp, nil
+		body, err := ReadFrame(br, buf)
+		buf = body
+		if errors.Is(err, io.EOF) {
+			return nil, errors.New("stream closed")
 		}
+		if err != nil {
+			return nil, err
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil {
+			return nil, fmt.Errorf("malformed stream frame: %w", err)
+		}
+		return resp, nil
+	}
+	send := func(req *Request) error {
+		_, err := conn.Write(AppendRequest(nil, req))
+		return err
 	}
 	// Schema handshake before applying a single record: a primary serving
 	// a different schema must be refused, not replicated.
-	if err := enc.Encode(Request{ID: 1, Op: "hello"}); err != nil {
+	if err := send(&Request{ID: 1, Op: OpHello}); err != nil {
 		return err
 	}
 	hello, err := readResp()
@@ -209,7 +208,7 @@ func (s *Server) followOnce() error {
 	if hello.Bits != s.schema.Bits() || !slices.Equal(hello.Attrs, s.schema.Attrs()) {
 		return fmt.Errorf("primary serves a different schema (%d bits, attrs %v)", hello.Bits, hello.Attrs)
 	}
-	if err := enc.Encode(Request{ID: 2, Op: "replicate", Pos: s.store.Pos()}); err != nil {
+	if err := send(&Request{ID: 2, Op: OpReplicate, Pos: s.store.Pos()}); err != nil {
 		return err
 	}
 	var resetRecs []persist.Record
@@ -240,15 +239,9 @@ func (s *Server) followOnce() error {
 // accumulate in resetRecs until the dump's final frame installs them
 // atomically; plain frames apply in place, deduplicated by position.
 func (s *Server) applyFrame(f *RepFrame, resetRecs *[]persist.Record) error {
-	var recs []persist.Record
-	if f.Recs != "" {
-		raw, err := base64.StdEncoding.DecodeString(f.Recs)
-		if err != nil {
-			return fmt.Errorf("stream frame payload is not base64: %w", err)
-		}
-		if recs, err = persist.DecodeRecords(raw); err != nil {
-			return err
-		}
+	recs, err := persist.DecodeRecords(f.Recs)
+	if err != nil {
+		return err
 	}
 	if f.Reset {
 		*resetRecs = append(*resetRecs, recs...)

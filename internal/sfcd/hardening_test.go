@@ -1,10 +1,8 @@
 package sfcd
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -104,12 +102,11 @@ func TestReadTimeoutReapsIdleConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, `{"id":1,"op":"ping"}`); err != nil {
+	if _, err := conn.Write(AppendRequest(nil, &Request{ID: 1, Op: OpPing})); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no ping response: %v", sc.Err())
+	if _, err := ReadFrame(conn, nil); err != nil {
+		t.Fatalf("no ping response: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, io.EOF) == false && !isClosedNetErr(err) {

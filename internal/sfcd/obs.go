@@ -20,68 +20,51 @@ const maxLinkLabels = 16
 // latency histogram. Most ops keep their wire name; the unsubscribe pair
 // is renamed to the engine's vocabulary so dashboards read
 // query/insert/remove consistently across tiers.
-func opMetricName(op string) string {
+func opMetricName(op Op) string {
 	switch op {
-	case "unsubscribe":
+	case OpUnsubscribe:
 		return "remove"
-	case "unsubscribe_batch":
+	case OpUnsubscribeBatch:
 		return "remove_batch"
 	}
-	return op
-}
-
-// wireOps is the protocol's full op vocabulary, used to pre-resolve
-// every op's latency histogram at construction. Keep it in sync with
-// the serve dispatch switch; an op missing here still gets metered,
-// through the cold registry path.
-var wireOps = []string{
-	"ping", "hello", "unlink", "trace", "slowlog",
-	"subscribe", "insert", "subscribe_batch",
-	"unsubscribe", "unsubscribe_batch",
-	"query", "query_batch", "covered", "get", "match",
-	"stats", "rebalance", "snapshot", "metrics", "promote",
-	// "replicate" is deliberately absent: a stream's lifetime is not a
-	// latency, so the streaming op is never metered per-request.
+	return op.String()
 }
 
 // opHists is the per-request path's view of the op latency histograms:
-// every known wire op's histogram is resolved once, up front, so
-// recording a request costs one read-only map index — never the
-// registry's lock (Registry.Hist takes an RWMutex; sfclint's
-// hotpathclock bans it on the request path). Both the server's and the
-// client's request loops record through one of these.
+// every wire op's histogram is resolved once, up front, so recording a
+// request costs one array index — never the registry's lock
+// (Registry.Hist takes an RWMutex; sfclint's hotpathclock bans it on the
+// request path). Both the server's and the client's request loops record
+// through one of these.
 type opHists struct {
-	cold  func(op string) *obs.Histogram // registry fallback for unknown ops
-	hists map[string]*obs.Histogram      // raw wire op -> histogram, read-only after construction
+	hists [numOps]*obs.Histogram // indexed by op, read-only after construction
 }
 
 // newOpHists resolves every wire op's histogram from the given registry
-// lookup (Observer.Hist or Registry.Hist), keyed by the raw wire op so
-// the hot path skips the opMetricName rename too.
+// lookup (Observer.Hist or Registry.Hist). "replicate" is left out: a
+// stream's lifetime is not a latency, so the streaming op is never
+// metered per request.
 func newOpHists(hist func(op string) *obs.Histogram) *opHists {
-	h := &opHists{cold: hist, hists: make(map[string]*obs.Histogram, len(wireOps))}
-	for _, op := range wireOps {
-		h.hists[op] = hist(opMetricName(op))
+	h := &opHists{}
+	for op := OpPing; op < numOps; op++ {
+		if op != OpReplicate {
+			h.hists[op] = hist(opMetricName(op))
+		}
 	}
 	return h
 }
 
 // observe records one request's latency against its op. Nil-safe, so
 // callers with telemetry off hold a nil *opHists and pay one branch.
+// Ops without a histogram (replicate; bytes naming no op never get this
+// far) are not recorded.
 //
 //sfc:hotpath
-func (h *opHists) observe(op string, d time.Duration) {
-	if h == nil {
+func (h *opHists) observe(op Op, d time.Duration) {
+	if h == nil || int(op) >= len(h.hists) || h.hists[op] == nil {
 		return
 	}
-	if hist, ok := h.hists[op]; ok {
-		hist.Observe(d)
-		return
-	}
-	// Unknown op (a newer client against this vocabulary): the cold
-	// registry lookup keeps it metered. The indirect call is outside
-	// hotpathclock's reach, but it is also not on any known-op path.
-	h.cold(opMetricName(op)).Observe(d)
+	h.hists[op].Observe(d)
 }
 
 // MetricsText renders the daemon's full Prometheus page: the shared

@@ -1,27 +1,55 @@
 // Package sfcd turns the sharded detection engine into a network service:
-// a newline-delimited JSON protocol over TCP, carrying subscriptions and
-// events in their binary wire format (base64-encoded), plus a pipelined
+// a length-prefixed binary frame protocol over TCP, carrying
+// subscriptions and events in their binary wire format, plus a pipelined
 // client and a core.Provider implementation over it. One daemon serves
 // many routers; batch operations map directly onto the engine's
-// AddBatch/RemoveBatch/CoverQueryBatch so a single request line can
+// AddBatch/RemoveBatch/CoverQueryBatch so a single request frame can
 // amortize the round trip over hundreds of covering queries, and the
 // pipelined client overlaps independent requests on one connection so
 // that N concurrent callers never serialize on the wire.
 //
-// Protocol: each line is one JSON request carrying a client-chosen id;
-// the server answers each request with one JSON response line echoing
-// that id. Responses may arrive OUT OF ORDER — the server handles a
-// connection's requests concurrently — so clients demultiplex by id.
-// A response with id 0 that no request asked for is a connection-level
-// error frame (e.g. the connection limit was hit); the connection is
-// closed after it.
+// Framing: every frame is a big-endian u32 body length (at most
+// MaxFrameBytes) followed by the body. The body opens with a fixed
+// header — uvarint id, one op byte (see Op), then the link and the code,
+// each a uvarint length and that many bytes — and continues with the
+// op's hand-encoded fields. Requests carry an empty code, responses an
+// empty link. A response with a non-empty code is an error frame whose
+// remaining body is the human-readable error text; an OK response's body
+// depends on its op:
 //
-//	→ {"id":1,"op":"hello"}
-//	← {"id":1,"ok":true,"bits":10,"attrs":["volume","price"],"shards":8,"partition":"hash","mode":"approx"}
-//	→ {"id":2,"op":"subscribe","payload":"<base64 subscription wire>"}
-//	← {"id":2,"ok":true,"result":{"sid":41,"covered":true,"coveredBy":17}}
-//	→ {"id":3,"op":"query_batch","payloads":["...","..."]}
-//	← {"id":3,"ok":true,"results":[{"covered":true,"coveredBy":17},{"covered":false}]}
+//	request                                response (OK)
+//	subscribe, insert, query, covered,     one result: covered byte,
+//	match, trace: the payload (the rest    uvarint sid, uvarint coveredBy,
+//	of the body)                           length-prefixed payload and error
+//	subscribe_batch, query_batch: uvarint  uvarint count, then that many
+//	count, length-prefixed payloads        results
+//	unsubscribe, get: uvarint sid          one result
+//	unsubscribe_batch: count, uvarint sids count, then results
+//	replicate: uvarint stream position     RepFrames: flags byte (reset,
+//	                                       more), uvarint base, uvarint
+//	                                       pos, then the records
+//	everything else: empty                 ping, snapshot, unlink: empty;
+//	                                       hello, promote, stats, metrics,
+//	                                       trace, slowlog, rebalance: a
+//	                                       JSON object of the reply fields
+//
+// Payloads are the raw bytes of internal/subscription's wire encoding;
+// replication records are persist.EncodeRecords bytes. Varints must be
+// minimally encoded and counts can never exceed the bytes that remain,
+// so every accepted frame has exactly one byte form. The encoders are
+// AppendRequest and the server's response encoder; ReadFrame and
+// DecodeResponse read the other direction. testdata/frames pins one
+// request and one response per op.
+//
+// Every request carries a client-chosen non-zero id and the server
+// answers each request with one response frame echoing that id and op.
+// Responses may arrive OUT OF ORDER — the server handles a connection's
+// requests concurrently — so clients demultiplex by id. A response with
+// id 0 that no request asked for is a connection-level error frame (the
+// connection limit was hit, a frame declared more than MaxFrameBytes, a
+// header did not parse); the connection is closed after it. A request
+// whose header parses but whose body does not is answered with a
+// bad_request frame under its own id.
 //
 // Operations: hello, ping, subscribe, subscribe_batch, insert,
 // unsubscribe, unsubscribe_batch, query, query_batch, covered, get,
@@ -30,7 +58,7 @@
 //
 // "replicate" opens the replication stream: the caller (a follower
 // daemon) sends its applied stream position and the server answers with
-// an unbounded sequence of response lines — each carrying one RepFrame —
+// an unbounded sequence of response frames — each carrying one RepFrame —
 // until the stream ends with an error response. It is the one streaming
 // op in an otherwise request/response protocol; see RepFrame for the
 // catch-up/reset semantics. "promote" flips a read-only follower to
@@ -70,7 +98,7 @@
 // and the engine's covering machinery answers it with the usual guarantee
 // (a reported match is genuine; approximate mode may miss).
 //
-// Link namespaces: every operation may carry a "link" field naming an
+// Link namespaces: every request's link field may name an
 // isolated subscription namespace on the daemon. The empty link is the
 // shared engine; any other link lazily materializes its own index built
 // from the engine's detector template, and "unlink" tears it down. This
@@ -79,29 +107,38 @@
 // process, one connection and one schema.
 package sfcd
 
-// Request is one protocol request line.
+import "sfccover/internal/subscription"
+
+// Request is one protocol request frame.
 type Request struct {
 	// ID is echoed in the response; clients pipeline many requests and
 	// demultiplex responses by it. IDs must be unique among a connection's
 	// in-flight requests and must be non-zero (0 is reserved for
 	// connection-level error frames).
-	ID uint64 `json:"id"`
+	ID uint64
 	// Op selects the operation.
-	Op string `json:"op"`
+	Op Op
 	// Link selects the subscription namespace; empty is the shared engine.
-	Link string `json:"link,omitempty"`
-	// Payload carries one base64-encoded binary subscription (subscribe,
-	// insert, query, covered) or event (match).
-	Payload string `json:"payload,omitempty"`
-	// Payloads carries a batch of base64-encoded subscriptions.
-	Payloads []string `json:"payloads,omitempty"`
+	Link string
+	// Payload carries one binary subscription (subscribe, insert, query,
+	// covered, trace) or event (match). A decoded request's payloads
+	// alias the frame they were read from.
+	Payload []byte
+	// Payloads carries a batch of binary subscriptions.
+	Payloads [][]byte
 	// SID identifies a subscription to unsubscribe or get.
-	SID uint64 `json:"sid,omitempty"`
+	SID uint64
 	// SIDs identifies a batch of subscriptions to unsubscribe.
-	SIDs []uint64 `json:"sids,omitempty"`
+	SIDs []uint64
 	// Pos is the replicate op's resume point: the follower's applied
 	// stream position (0 = from the beginning).
-	Pos uint64 `json:"pos,omitempty"`
+	Pos uint64
+
+	// sub and subs let the client encode subscriptions straight into the
+	// request frame instead of marshalling Payload/Payloads first; when
+	// set they take their place (a nil entry in subs is an empty payload).
+	sub  *subscription.Subscription
+	subs []*subscription.Subscription
 }
 
 // Result is one per-item outcome inside a batch response.
@@ -112,8 +149,8 @@ type Result struct {
 	// the id of the covering subscription.
 	Covered   bool   `json:"covered,omitempty"`
 	CoveredBy uint64 `json:"coveredBy,omitempty"`
-	// Payload is the base64-encoded subscription returned by get.
-	Payload string `json:"payload,omitempty"`
+	// Payload is the binary subscription returned by get.
+	Payload []byte `json:"payload,omitempty"`
 	// Error is the per-item failure, empty on success.
 	Error string `json:"error,omitempty"`
 }
@@ -197,15 +234,21 @@ const (
 	RoleFollower = "follower"
 )
 
-// Response is one protocol response line.
+// Response is one protocol response frame. Data-op outcomes (Result,
+// Results, Rep) travel hand-encoded; the remaining fields are the control
+// replies' fields and travel as the JSON body of hello, promote, stats,
+// metrics, trace, slowlog and rebalance frames, under their json tags.
 type Response struct {
 	// ID echoes the request id; 0 marks a connection-level error frame.
-	ID uint64 `json:"id"`
+	ID uint64 `json:"-"`
+	// Op echoes the request op (0 on connection-level frames); it selects
+	// the body layout.
+	Op Op `json:"-"`
 	// OK reports whether the request succeeded; on failure Error explains
 	// and Code classifies.
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
+	OK    bool   `json:"-"`
+	Error string `json:"-"`
+	Code  string `json:"-"`
 
 	// hello fields.
 	Bits      int      `json:"bits,omitempty"`
@@ -219,10 +262,10 @@ type Response struct {
 	Role string `json:"role,omitempty"`
 
 	// Single-operation outcome (subscribe, insert, query, covered, get,
-	// match, unsubscribe).
+	// match, unsubscribe; trace carries it in its JSON body).
 	Result *Result `json:"result,omitempty"`
 	// Batch outcomes, aligned with the request's payloads/sids.
-	Results []Result `json:"results,omitempty"`
+	Results []Result `json:"-"`
 	// Stats snapshot (stats op).
 	Stats *Stats `json:"stats,omitempty"`
 	// Metrics is the Prometheus text exposition (metrics op).
@@ -235,14 +278,13 @@ type Response struct {
 	Traces []Trace `json:"traces,omitempty"`
 	// Rep is one replication stream frame (replicate op only). The op is
 	// the protocol's single streaming exception: one request produces
-	// many response lines, all echoing the request id, until an error
+	// many response frames, all echoing the request id, until an error
 	// response ends the stream.
-	Rep *RepFrame `json:"rep,omitempty"`
+	Rep *RepFrame `json:"-"`
 }
 
 // RepFrame is one hop of a replication stream. Recs carries WAL records
-// in the segment wire encoding (self-delimiting, CRC-protected),
-// base64-encoded like every binary payload on this protocol.
+// in the segment wire encoding (self-delimiting, CRC-protected).
 //
 // When Reset is false the records sit at stream positions Base+1..Pos
 // and the follower applies them in place (idempotent; an overlap with
@@ -253,11 +295,11 @@ type Response struct {
 // but the last; the follower accumulates and installs the dump atomically
 // once More is clear.
 type RepFrame struct {
-	Reset bool   `json:"reset,omitempty"`
-	More  bool   `json:"more,omitempty"`
-	Base  uint64 `json:"base,omitempty"`
-	Pos   uint64 `json:"pos"`
-	Recs  string `json:"recs,omitempty"`
+	Reset bool
+	More  bool
+	Base  uint64
+	Pos   uint64
+	Recs  []byte
 }
 
 // TraceStage is one timed step of a traced query.
@@ -299,7 +341,3 @@ type Trace struct {
 	// Cost is the query's cost-stats snapshot.
 	Cost TraceCost `json:"cost"`
 }
-
-// MaxLineBytes bounds one protocol line (a batch of ~64k subscriptions);
-// longer lines terminate the connection.
-const MaxLineBytes = 8 << 20

@@ -70,21 +70,13 @@ func (r *RemoteProvider) checkSchema(s *subscription.Subscription) error {
 	return nil
 }
 
-func (r *RemoteProvider) payload(s *subscription.Subscription) (string, error) {
-	if err := r.checkSchema(s); err != nil {
-		return "", err
-	}
-	return r.c.encodeSub(s)
-}
-
 // Add runs the router arrival path on the daemon: covering query, then
 // insert either way.
 func (r *RemoteProvider) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
+	if err := r.checkSchema(s); err != nil {
 		return 0, false, 0, err
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "subscribe", Link: r.link, Payload: payload})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpSubscribe, Link: r.link, sub: s})
 	if err != nil {
 		return 0, false, 0, err
 	}
@@ -96,11 +88,10 @@ func (r *RemoteProvider) Add(s *subscription.Subscription) (id uint64, covered b
 
 // Insert stores s unconditionally and returns its id.
 func (r *RemoteProvider) Insert(s *subscription.Subscription) (uint64, error) {
-	payload, err := r.payload(s)
-	if err != nil {
+	if err := r.checkSchema(s); err != nil {
 		return 0, err
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "insert", Link: r.link, Payload: payload})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpInsert, Link: r.link, sub: s})
 	if err != nil {
 		return 0, err
 	}
@@ -112,18 +103,17 @@ func (r *RemoteProvider) Insert(s *subscription.Subscription) (uint64, error) {
 
 // Remove deletes a previously inserted subscription by id.
 func (r *RemoteProvider) Remove(id uint64) error {
-	_, err := r.c.do(r.ctx, &Request{Op: "unsubscribe", Link: r.link, SID: id})
+	_, err := r.c.do(r.ctx, &Request{Op: OpUnsubscribe, Link: r.link, SID: id})
 	return err
 }
 
 // FindCover searches the namespace for a subscription covering s. The
 // per-call dominance stats are zero (they live server-side; see Stats).
 func (r *RemoteProvider) FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
+	if err := r.checkSchema(s); err != nil {
 		return 0, false, stats, err
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "query", Link: r.link, Payload: payload})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpQuery, Link: r.link, sub: s})
 	if err != nil {
 		return 0, false, stats, err
 	}
@@ -135,11 +125,10 @@ func (r *RemoteProvider) FindCover(s *subscription.Subscription) (id uint64, fou
 
 // FindCovered searches the namespace for a subscription that s covers.
 func (r *RemoteProvider) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
+	if err := r.checkSchema(s); err != nil {
 		return 0, false, stats, err
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "covered", Link: r.link, Payload: payload})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpCovered, Link: r.link, sub: s})
 	if err != nil {
 		return 0, false, stats, err
 	}
@@ -150,21 +139,20 @@ func (r *RemoteProvider) FindCovered(s *subscription.Subscription) (id uint64, f
 }
 
 // CoverQueryBatch implements core.BatchQuerier: the whole batch rides one
-// request line and fans out across the daemon's worker pool.
+// request frame and fans out across the daemon's worker pool.
 func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
 	out := make([]core.QueryResult, len(subs))
-	payloads := make([]string, len(subs))
+	valid := make([]*subscription.Subscription, len(subs))
 	for i, s := range subs {
-		p, err := r.payload(s)
-		if err != nil {
+		if err := r.checkSchema(s); err != nil {
 			// Per-item validation failures poison only their own slot, as
-			// with the engine's batch path.
+			// with the engine's batch path; the slot travels empty.
 			out[i] = core.QueryResult{Err: err}
 			continue
 		}
-		payloads[i] = p
+		valid[i] = s
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "query_batch", Link: r.link, Payloads: payloads})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpQueryBatch, Link: r.link, subs: valid})
 	if err != nil {
 		for i := range out {
 			if out[i].Err == nil {
@@ -197,21 +185,20 @@ func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []co
 
 // AddBatch implements core.BatchWriter: the whole arrival-path batch
 // (covering query + insert per item) rides one subscribe_batch request
-// line instead of one round trip per subscription — the churn-path
+// frame instead of one round trip per subscription — the churn-path
 // amortization the wire op existed for.
 func (r *RemoteProvider) AddBatch(subs []*subscription.Subscription) []core.AddResult {
 	out := make([]core.AddResult, len(subs))
-	payloads := make([]string, len(subs))
+	valid := make([]*subscription.Subscription, len(subs))
 	for i, s := range subs {
-		p, err := r.payload(s)
-		if err != nil {
+		if err := r.checkSchema(s); err != nil {
 			// Per-item validation failures poison only their own slot.
 			out[i].Err = err
 			continue
 		}
-		payloads[i] = p
+		valid[i] = s
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "subscribe_batch", Link: r.link, Payloads: payloads})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpSubscribeBatch, Link: r.link, subs: valid})
 	if err == nil && len(resp.Results) != len(subs) {
 		err = fmt.Errorf("sfcd: %d results for %d subscriptions", len(resp.Results), len(subs))
 	}
@@ -247,7 +234,7 @@ func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 		}
 		return out
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "unsubscribe_batch", Link: r.link, SIDs: ids})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpUnsubscribeBatch, Link: r.link, SIDs: ids})
 	if err != nil {
 		return fail(err)
 	}
@@ -267,7 +254,7 @@ func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 // Namespaces without the capability surface core.ErrRebalanceUnsupported,
 // exactly like a local provider would.
 func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "rebalance", Link: r.link})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpRebalance, Link: r.link})
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) && se.Code == CodeUnsupported {
@@ -292,7 +279,7 @@ func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
 // core.ErrSnapshotUnsupported, exactly like a local provider without a
 // store would.
 func (r *RemoteProvider) Snapshot() error {
-	_, err := r.c.do(r.ctx, &Request{Op: "snapshot", Link: r.link})
+	_, err := r.c.do(r.ctx, &Request{Op: OpSnapshot, Link: r.link})
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) && se.Code == CodeUnsupported {
@@ -307,11 +294,11 @@ func (r *RemoteProvider) Snapshot() error {
 // signature has no error channel, so connection trouble reads as
 // not-found here and errors on the next operation that can report it.
 func (r *RemoteProvider) Subscription(id uint64) (*subscription.Subscription, bool) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "get", Link: r.link, SID: id})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpGet, Link: r.link, SID: id})
 	if err != nil || resp.Result == nil {
 		return nil, false
 	}
-	sub, err := decodeSubPayload(r.c.schema, resp.Result.Payload)
+	sub, err := subscription.UnmarshalSubscription(r.c.schema, resp.Result.Payload)
 	if err != nil {
 		return nil, false
 	}
@@ -355,7 +342,7 @@ func (r *RemoteProvider) Stats() core.ProviderStats {
 }
 
 func (r *RemoteProvider) stats() (Stats, error) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "stats", Link: r.link})
+	resp, err := r.c.do(r.ctx, &Request{Op: OpStats, Link: r.link})
 	if err != nil {
 		return Stats{}, err
 	}
@@ -373,5 +360,5 @@ func (r *RemoteProvider) Close() {
 	if r.link == "" {
 		return // the shared engine is not ours to tear down
 	}
-	r.c.do(r.ctx, &Request{Op: "unlink", Link: r.link}) //nolint:errcheck // best effort
+	r.c.do(r.ctx, &Request{Op: OpUnlink, Link: r.link}) //nolint:errcheck // best effort
 }

@@ -3,10 +3,7 @@ package sfcd_test
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -385,26 +382,27 @@ func TestReplicateWireStream(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
-	readResp := func() sfcd.Response {
+	br := bufio.NewReader(conn)
+	readResp := func() *sfcd.Response {
 		t.Helper()
-		if !sc.Scan() {
-			t.Fatalf("stream ended early: %v", sc.Err())
+		body, err := sfcd.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("stream ended early: %v", err)
 		}
-		var resp sfcd.Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		resp, err := sfcd.DecodeResponse(body)
+		if err != nil {
+			t.Fatalf("bad frame %x: %v", body, err)
 		}
 		return resp
 	}
 
-	if _, err := fmt.Fprintln(conn, `{"id":1,"op":"hello"}`); err != nil {
+	if _, err := conn.Write(sfcd.AppendRequest(nil, &sfcd.Request{ID: 1, Op: sfcd.OpHello})); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(); !resp.OK || resp.Role != sfcd.RolePrimary {
 		t.Fatalf("hello response = %+v", resp)
 	}
-	if _, err := fmt.Fprintln(conn, `{"id":2,"op":"replicate","pos":0}`); err != nil {
+	if _, err := conn.Write(sfcd.AppendRequest(nil, &sfcd.Request{ID: 2, Op: sfcd.OpReplicate, Pos: 0})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -422,11 +420,7 @@ func TestReplicateWireStream(t *testing.T) {
 		if f.Base != next {
 			t.Fatalf("frame base = %d, want contiguous %d", f.Base, next)
 		}
-		raw, err := base64.StdEncoding.DecodeString(f.Recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := persist.DecodeRecords(raw)
+		batch, err := persist.DecodeRecords(f.Recs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,6 @@ package sfcd
 
 import (
 	"bufio"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -27,20 +25,20 @@ type ServerConfig struct {
 	// A connection beyond the cap receives one connection-level error
 	// frame (code "conn_limit") and is closed.
 	MaxConns int
-	// ReadTimeout bounds the wait for the next request line on a
+	// ReadTimeout bounds the wait for the next request frame on a
 	// connection (0 = none). A connection that stays idle — or stalls
-	// mid-line — past the timeout is reaped, freeing its MaxConns slot.
+	// mid-frame — past the timeout is reaped, freeing its MaxConns slot.
 	ReadTimeout time.Duration
 }
 
 // connInflight bounds how many of one connection's pipelined requests are
-// served concurrently; further lines queue in the read loop. It trades
+// served concurrently; further frames queue in the read loop. It trades
 // goroutine fan-out against the memory of buffered responses.
 const connInflight = 32
 
 // Server serves the sfcd protocol on top of one Engine. Connections are
 // handled concurrently, and so are the pipelined requests within one
-// connection: each request line is dispatched to its own handler (bounded
+// connection: each request frame is dispatched to its own handler (bounded
 // by connInflight) and responses are written as they complete — out of
 // request order when a slow covering query overlaps a fast ping. Clients
 // match responses to requests by id.
@@ -334,7 +332,7 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 
 // refuse answers an over-limit connection with one clean connection-level
 // error frame (id 0) and closes it, so clients fail with a diagnosis
-// instead of a dropped connection. It consumes the client's first line
+// instead of a dropped connection. It consumes the client's first frame
 // (the hello) before closing: closing with unread data in the receive
 // buffer provokes a TCP reset that can discard the error frame before
 // the client reads it.
@@ -342,21 +340,19 @@ func refuse(conn net.Conn, limit int) {
 	defer conn.Close()
 	deadline := time.Now().Add(time.Second)
 	conn.SetWriteDeadline(deadline)
-	frame := Response{
+	frame, err := appendResponse(nil, &Response{
 		OK:    false,
 		Code:  CodeConnLimit,
 		Error: fmt.Sprintf("connection limit %d reached", limit),
-	}
-	line, err := json.Marshal(&frame)
+	})
 	if err != nil {
 		return
 	}
-	if _, err := conn.Write(append(line, '\n')); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return
 	}
 	conn.SetReadDeadline(deadline)
-	br := bufio.NewReaderSize(conn, 4<<10)
-	br.ReadString('\n') //nolint:errcheck // drain the hello, best effort
+	discardFrame(conn) //nolint:errcheck // drain the hello, best effort
 }
 
 // Close stops the listener, drops every open connection, waits for the
@@ -411,7 +407,7 @@ type connResponse struct {
 // writer queue, plus what the one streaming op (replicate) needs — a
 // signal that the read loop exited (the stream's cancellation) and a
 // flag exempting the connection from idle reaping while it streams (a
-// follower sends nothing after its replicate line, which is not idleness).
+// follower sends nothing after its replicate frame, which is not idleness).
 type connState struct {
 	conn       net.Conn
 	respCh     chan connResponse
@@ -420,7 +416,7 @@ type connState struct {
 }
 
 // handleConn pumps one connection: the read loop dispatches each request
-// line to a pool of handler workers (grown on demand up to connInflight —
+// frame to a pool of handler workers (grown on demand up to connInflight —
 // persistent workers keep warmed-up stacks across requests, while an idle
 // connection holds only what its pipelining depth ever needed), and a
 // writer goroutine serializes the responses back, flushing only when its
@@ -437,13 +433,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	go func() {
 		defer close(writerDone)
 		w := bufio.NewWriter(conn)
-		enc := json.NewEncoder(w)
+		var frame []byte // reused: frames are copied into w before the next encode
 		broken := false
 		for out := range respCh {
 			if broken {
 				continue // drain so handlers never block on a dead conn
 			}
-			if err := enc.Encode(out.resp); err != nil {
+			frame = encodeResponse(frame[:0], out.resp)
+			if _, err := w.Write(frame); err != nil {
 				broken = true
 				continue
 			}
@@ -468,72 +465,92 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
-	lines := make(chan []byte) // unbuffered: a send means a worker has it
+	frames := make(chan *frameBuf) // unbuffered: a send means a worker has it
 	var handlers sync.WaitGroup
 	workers := 0
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64<<10), MaxLineBytes)
+	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		if s.scfg.ReadTimeout > 0 && !cs.streaming.Load() {
 			conn.SetReadDeadline(time.Now().Add(s.scfg.ReadTimeout))
 		}
-		if !scanner.Scan() {
+		// Each frame gets its own pooled buffer: the handler decodes
+		// payloads straight out of it while this loop reads the next one,
+		// and returns it to the pool once the request is served.
+		fb := getFrame()
+		body, err := ReadFrame(br, fb.b)
+		fb.b = body
+		if err != nil {
+			putFrame(fb)
+			if errors.Is(err, ErrFrameTooLarge) {
+				// The length header is all we read, so the frame cannot be
+				// skipped: answer with the limit, then close.
+				cs.respCh <- connResponse{
+					resp:       &Response{OK: false, Code: CodeBadRequest, Error: err.Error()},
+					closeAfter: true,
+				}
+			}
 			break
 		}
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		line := append([]byte(nil), scanner.Bytes()...) // Scan reuses its buffer
 		select {
-		case lines <- line: // an idle worker took it
+		case frames <- fb: // an idle worker took it
 		default:
 			if workers < connInflight {
 				workers++
 				handlers.Add(1)
 				go func() {
 					defer handlers.Done()
-					for l := range lines {
-						s.handleLine(l, cs)
+					for f := range frames {
+						s.handleFrame(f.b, cs)
+						putFrame(f)
 					}
 				}()
 			}
-			lines <- line
+			frames <- fb
 		}
 	}
 	close(cs.readerGone) // cancels any replicate stream on this connection
-	close(lines)
+	close(frames)
 	handlers.Wait()
 	close(respCh)
 	<-writerDone
 }
 
-// handleLine parses and serves one request line, queueing the response
-// (or, for the streaming replicate op, every frame of the stream) on the
-// connection's writer. Lines the server cannot parse — and requests
-// carrying the reserved id 0 — get a connection-level error frame: the
-// response cannot be attributed to a request id, and a pipelining client
-// must treat an id-0 frame as fatal (a stray one would otherwise poison
-// response demultiplexing), so the connection is closed after it.
+// handleFrame decodes and serves one request frame, queueing the
+// response (or, for the streaming replicate op, every frame of the
+// stream) on the connection's writer. Frames whose header the server
+// cannot parse — and requests carrying the reserved id 0 — get a
+// connection-level error frame: the response cannot be attributed to a
+// request id, and a pipelining client must treat an id-0 frame as fatal
+// (a stray one would otherwise poison response demultiplexing), so the
+// connection is closed after it. The request's payloads alias body, which
+// the caller recycles once handleFrame returns.
 //
 //sfc:hotpath
-func (s *Server) handleLine(line []byte, cs *connState) {
+func (s *Server) handleFrame(body []byte, cs *connState) {
 	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		cs.respCh <- connResponse{
-			resp:       &Response{OK: false, Code: CodeBadRequest, Error: fmt.Sprintf("malformed request: %v", err)},
-			closeAfter: true,
-		}
-		return
-	}
+	err := decodeRequest(body, &req)
 	if req.ID == 0 {
+		msg := "request id 0 is reserved for connection-level frames"
+		if err != nil {
+			msg = fmt.Sprintf("malformed request: %v", err)
+		}
 		cs.respCh <- connResponse{
-			resp:       &Response{OK: false, Code: CodeBadRequest, Error: "request id 0 is reserved for connection-level frames"},
+			resp:       &Response{OK: false, Code: CodeBadRequest, Error: msg},
 			closeAfter: true,
 		}
 		return
 	}
-	if req.Op == "replicate" {
-		// The one streaming op: many response lines per request, open
+	if err != nil {
+		resp := &Response{OK: false, Code: CodeBadRequest, Error: err.Error()}
+		if errors.Is(err, errUnknownOp) {
+			resp = &Response{OK: false, Code: CodeUnknownOp, Error: err.Error()}
+		}
+		resp.ID, resp.Op = req.ID, req.Op
+		cs.respCh <- connResponse{resp: resp}
+		return
+	}
+	if req.Op == OpReplicate {
+		// The one streaming op: many response frames per request, open
 		// until the stream ends. It occupies this worker slot for the
 		// connection's lifetime and is not per-op latency metered (a
 		// stream's duration is not a latency).
@@ -550,8 +567,25 @@ func (s *Server) handleLine(line []byte, cs *connState) {
 		//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
 		s.opLat.observe(req.Op, time.Since(t0))
 	}
-	resp.ID = req.ID
+	resp.ID, resp.Op = req.ID, req.Op
 	cs.respCh <- connResponse{resp: resp}
+}
+
+// encodeResponse appends resp's frame to dst. A reply that cannot be
+// framed — a control body JSON rejects, or one beyond MaxFrameBytes that
+// the client would refuse to read — goes out as an op_failed frame under
+// the same id instead.
+func encodeResponse(dst []byte, resp *Response) []byte {
+	start := len(dst)
+	out, err := appendResponse(dst, resp)
+	if err == nil && len(out)-start-4 > MaxFrameBytes {
+		err = fmt.Errorf("%d-byte reply exceeds the %d-byte frame limit", len(out)-start-4, MaxFrameBytes)
+	}
+	if err == nil {
+		return out
+	}
+	out, _ = appendResponse(out[:start], &Response{ID: resp.ID, Op: resp.Op, OK: false, Code: CodeOpFailed, Error: err.Error()})
+	return out
 }
 
 // linkSeed derives a link namespace's index seed from the engine
@@ -639,8 +673,8 @@ func (s *Server) serve(req Request) *Response {
 		// metrics page and — for chained followers — the stream itself,
 		// which reads the store, not the engine.
 		switch req.Op {
-		case "ping", "hello", "promote":
-		case "metrics":
+		case OpPing, OpHello, OpPromote:
+		case OpMetrics:
 			if req.Link != "" {
 				return &Response{OK: false, Code: CodeNotPrimary, Error: "daemon is a follower; link metrics are served by the primary"}
 			}
@@ -650,9 +684,9 @@ func (s *Server) serve(req Request) *Response {
 		}
 	}
 	switch req.Op {
-	case "ping":
+	case OpPing:
 		return &Response{OK: true}
-	case "hello":
+	case OpHello:
 		return &Response{
 			OK:        true,
 			Bits:      s.schema.Bits(),
@@ -662,7 +696,7 @@ func (s *Server) serve(req Request) *Response {
 			Mode:      s.eng.Mode().String(),
 			Role:      s.Role(),
 		}
-	case "promote":
+	case OpPromote:
 		if s.store == nil {
 			return &Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
 		}
@@ -670,11 +704,11 @@ func (s *Server) serve(req Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{OK: true, Role: s.Role()}
-	case "unlink":
+	case OpUnlink:
 		return s.unlink(req.Link)
-	case "trace":
+	case OpTrace:
 		return s.trace(req)
-	case "slowlog":
+	case OpSlowlog:
 		return s.slowlog(req)
 	}
 	prov, err := s.provider(req.Link)
@@ -682,7 +716,7 @@ func (s *Server) serve(req Request) *Response {
 		return errResponse(err)
 	}
 	switch req.Op {
-	case "subscribe":
+	case OpSubscribe:
 		sub, err := s.decodeSub(req.Payload)
 		if err != nil {
 			return badRequest(err)
@@ -691,8 +725,8 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{SID: sid, Covered: covered, CoveredBy: coveredBy}}
-	case "insert":
+		return okResult(Result{SID: sid, Covered: covered, CoveredBy: coveredBy})
+	case OpInsert:
 		sub, err := s.decodeSub(req.Payload)
 		if err != nil {
 			return badRequest(err)
@@ -701,16 +735,16 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{SID: sid}}
-	case "subscribe_batch":
+		return okResult(Result{SID: sid})
+	case OpSubscribeBatch:
 		subs, errs := s.decodeSubs(req.Payloads)
 		return &Response{OK: true, Results: s.addBatch(prov, subs, errs)}
-	case "unsubscribe":
+	case OpUnsubscribe:
 		if err := prov.Remove(req.SID); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{SID: req.SID}}
-	case "unsubscribe_batch":
+		return okResult(Result{SID: req.SID})
+	case OpUnsubscribeBatch:
 		results := make([]Result, len(req.SIDs))
 		errs := removeBatch(prov, req.SIDs)
 		for i, err := range errs {
@@ -720,7 +754,7 @@ func (s *Server) serve(req Request) *Response {
 			}
 		}
 		return &Response{OK: true, Results: results}
-	case "query":
+	case OpQuery:
 		sub, err := s.decodeSub(req.Payload)
 		if err != nil {
 			return badRequest(err)
@@ -729,8 +763,8 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "query_batch":
+		return okResult(Result{Covered: found, CoveredBy: id})
+	case OpQueryBatch:
 		subs, errs := s.decodeSubs(req.Payloads)
 		queried := core.CoverQueries(prov, compact(subs))
 		results := make([]Result, len(subs))
@@ -748,7 +782,7 @@ func (s *Server) serve(req Request) *Response {
 			}
 		}
 		return &Response{OK: true, Results: results}
-	case "covered":
+	case OpCovered:
 		sub, err := s.decodeSub(req.Payload)
 		if err != nil {
 			return badRequest(err)
@@ -757,8 +791,8 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "get":
+		return okResult(Result{Covered: found, CoveredBy: id})
+	case OpGet:
 		sub, ok := prov.Subscription(req.SID)
 		if !ok {
 			return &Response{OK: false, Code: CodeOpFailed, Error: fmt.Sprintf("no subscription with id %d", req.SID)}
@@ -767,10 +801,8 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{
-			SID: req.SID, Payload: base64.StdEncoding.EncodeToString(raw),
-		}}
-	case "match":
+		return okResult(Result{SID: req.SID, Payload: raw})
+	case OpMatch:
 		sub, err := s.decodeEventAsSub(req.Payload)
 		if err != nil {
 			return badRequest(err)
@@ -779,8 +811,8 @@ func (s *Server) serve(req Request) *Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "stats":
+		return okResult(Result{Covered: found, CoveredBy: id})
+	case OpStats:
 		ps := prov.Stats()
 		return &Response{OK: true, Stats: &Stats{
 			Queries:           ps.Queries,
@@ -802,7 +834,7 @@ func (s *Server) serve(req Request) *Response {
 			WALRecords:        ps.WALRecords,
 			WALBytes:          ps.WALBytes,
 		}}
-	case "rebalance":
+	case OpRebalance:
 		rb, ok := prov.(core.Rebalancer)
 		if !ok {
 			return &Response{OK: false, Code: CodeUnsupported, Error: "provider does not support rebalancing"}
@@ -820,7 +852,7 @@ func (s *Server) serve(req Request) *Response {
 			SkewBefore: res.SkewBefore,
 			SkewAfter:  res.SkewAfter,
 		}}
-	case "snapshot":
+	case OpSnapshot:
 		ps, ok := prov.(core.Persister)
 		if !ok {
 			return &Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
@@ -829,7 +861,7 @@ func (s *Server) serve(req Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{OK: true}
-	case "metrics":
+	case OpMetrics:
 		if req.Link == "" {
 			// The shared namespace gets the full daemon page: scalar
 			// counters plus latency histograms and per-link gauges.
@@ -837,7 +869,7 @@ func (s *Server) serve(req Request) *Response {
 		}
 		return &Response{OK: true, Metrics: RenderPrometheus(prov.Stats())}
 	default:
-		return &Response{OK: false, Code: CodeUnknownOp, Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return &Response{OK: false, Code: CodeUnknownOp, Error: fmt.Sprintf("unknown op %s", req.Op)}
 	}
 }
 
@@ -880,24 +912,14 @@ func badRequest(err error) *Response {
 	return &Response{OK: false, Code: CodeBadRequest, Error: err.Error()}
 }
 
-// decodeSubPayload decodes one base64 binary subscription payload against
-// a schema.
-func decodeSubPayload(schema *subscription.Schema, payload string) (*subscription.Subscription, error) {
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil, fmt.Errorf("payload is not base64: %w", err)
-	}
-	return subscription.UnmarshalSubscription(schema, raw)
-}
-
 // decodeSub decodes one payload against the server schema.
-func (s *Server) decodeSub(payload string) (*subscription.Subscription, error) {
-	return decodeSubPayload(s.schema, payload)
+func (s *Server) decodeSub(payload []byte) (*subscription.Subscription, error) {
+	return subscription.UnmarshalSubscription(s.schema, payload)
 }
 
 // decodeSubs decodes a batch; per-item failures leave a nil subscription
 // and a non-nil error at the same index.
-func (s *Server) decodeSubs(payloads []string) ([]*subscription.Subscription, []error) {
+func (s *Server) decodeSubs(payloads [][]byte) ([]*subscription.Subscription, []error) {
 	subs := make([]*subscription.Subscription, len(payloads))
 	errs := make([]error, len(payloads))
 	for i, p := range payloads {
@@ -909,12 +931,8 @@ func (s *Server) decodeSubs(payloads []string) ([]*subscription.Subscription, []
 // decodeEventAsSub decodes a binary event and lifts it to the degenerate
 // subscription that constrains every attribute to the event's value; its
 // covers are exactly the subscriptions matching the event.
-func (s *Server) decodeEventAsSub(payload string) (*subscription.Subscription, error) {
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil, fmt.Errorf("payload is not base64: %w", err)
-	}
-	ev, err := subscription.UnmarshalEvent(s.schema, raw)
+func (s *Server) decodeEventAsSub(payload []byte) (*subscription.Subscription, error) {
+	ev, err := subscription.UnmarshalEvent(s.schema, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,11 @@ package sfcd
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -270,44 +270,82 @@ func TestDialSchemaMismatch(t *testing.T) {
 	c.Close()
 }
 
+// rawConn speaks the frame protocol directly, bypassing the client.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+// send writes raw frame bytes.
+func (rc *rawConn) send(frame []byte) {
+	rc.t.Helper()
+	if _, err := rc.conn.Write(frame); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+// read reads and decodes the next response frame.
+func (rc *rawConn) read() (*Response, error) {
+	body, err := ReadFrame(rc.br, nil)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeResponse(body)
+}
+
+// roundTrip sends one request and returns its response.
+func (rc *rawConn) roundTrip(req *Request) *Response {
+	rc.t.Helper()
+	rc.send(AppendRequest(nil, req))
+	resp, err := rc.read()
+	if err != nil {
+		rc.t.Fatalf("no response to %s request %d: %v", req.Op, req.ID, err)
+	}
+	return resp
+}
+
+// frameOf wraps an arbitrary body in a length header.
+func frameOf(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
 // TestProtocolErrors speaks the wire protocol directly to exercise the
 // server's failure paths.
 func TestProtocolErrors(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
+	rc := dialRaw(t, addr)
 
-	send := func(line string) Response {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatalf("no response to %q (err: %v)", line, sc.Err())
-		}
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("malformed response %q: %v", sc.Text(), err)
-		}
-		return resp
-	}
-
-	if resp := send(`{"id":1,"op":"warp"}`); resp.OK || resp.Code != CodeUnknownOp {
+	if resp := rc.roundTrip(&Request{ID: 1, Op: Op(200)}); resp.OK || resp.Code != CodeUnknownOp || resp.ID != 1 {
 		t.Errorf("unknown op must fail with %s, got %+v", CodeUnknownOp, resp)
 	}
-	if resp := send(`{"id":2,"op":"subscribe","payload":"!!!"}`); resp.OK || resp.Code != CodeBadRequest {
-		t.Errorf("non-base64 payload must fail with %s, got %+v", CodeBadRequest, resp)
+	if resp := rc.roundTrip(&Request{ID: 2, Op: OpSubscribe, Payload: []byte("!!!")}); resp.OK || resp.Code != CodeBadRequest {
+		t.Errorf("garbage payload must fail with %s, got %+v", CodeBadRequest, resp)
 	}
-	if resp := send(`{"id":3,"op":"subscribe","payload":"AAAA"}`); resp.OK {
+	if resp := rc.roundTrip(&Request{ID: 3, Op: OpSubscribe, Payload: []byte{0, 0, 0}}); resp.OK {
 		t.Error("malformed wire payload must fail")
 	}
-	if resp := send(`{"id":4,"op":"unsubscribe","sid":999}`); resp.OK || resp.Code != CodeOpFailed {
+	if resp := rc.roundTrip(&Request{ID: 4, Op: OpUnsubscribe, SID: 999}); resp.OK || resp.Code != CodeOpFailed {
 		t.Errorf("unknown sid must fail with %s, got %+v", CodeOpFailed, resp)
+	}
+	// A header that parses with a body that does not is answered under
+	// its own id, and the connection keeps serving.
+	bad := AppendRequest(nil, &Request{ID: 6, Op: OpUnsubscribe, SID: 1})
+	bad = append(bad[:len(bad)-1], 0x80) // truncate the sid varint
+	rc.send(bad)
+	if resp, err := rc.read(); err != nil || resp.OK || resp.Code != CodeBadRequest || resp.ID != 6 {
+		t.Errorf("malformed body must fail with %s under id 6, got %+v (err %v)", CodeBadRequest, resp, err)
 	}
 	// A batch with one bad payload still succeeds per item.
 	sub := subscription.MustParse(schema, "volume in [1,5]")
@@ -315,13 +353,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := json.Marshal(Request{ID: 5, Op: "subscribe_batch", Payloads: []string{
-		"!!!", base64.StdEncoding.EncodeToString(raw),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := send(string(req))
+	resp := rc.roundTrip(&Request{ID: 5, Op: OpSubscribeBatch, Payloads: [][]byte{[]byte("!!!"), raw}})
 	if !resp.OK || len(resp.Results) != 2 {
 		t.Fatalf("mixed batch: ok=%v results=%d", resp.OK, len(resp.Results))
 	}
@@ -334,41 +366,55 @@ func TestProtocolErrors(t *testing.T) {
 }
 
 // TestConnectionLevelErrorFramesClose pins the fatal protocol failures:
-// a line the server cannot attribute to a request id — unparseable JSON,
-// or the reserved id 0 — gets one id-0 error frame and the connection is
-// closed, exactly as the protocol documents (a pipelining client must
-// treat stray id-0 frames as fatal, so the server must not keep serving
-// past one).
+// a frame the server cannot attribute to a request id — a header that
+// does not parse, or the reserved id 0 — gets one id-0 error frame and
+// the connection is closed, exactly as the protocol documents (a
+// pipelining client must treat stray id-0 frames as fatal, so the server
+// must not keep serving past one).
 func TestConnectionLevelErrorFramesClose(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact)
-	for name, line := range map[string]string{
-		"malformed json": `not json`,
-		"reserved id 0":  `{"id":0,"op":"ping"}`,
+	for name, frame := range map[string][]byte{
+		"malformed frame": frameOf([]byte("not a frame")),
+		"reserved id 0":   AppendRequest(nil, &Request{ID: 0, Op: OpPing}),
 	} {
-		conn, err := net.Dial("tcp", addr)
+		rc := dialRaw(t, addr)
+		rc.send(frame)
+		resp, err := rc.read()
 		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(conn)
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatalf("%s: no error frame (err: %v)", name, sc.Err())
-		}
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("%s: malformed frame %q: %v", name, sc.Text(), err)
+			t.Fatalf("%s: no error frame: %v", name, err)
 		}
 		if resp.OK || resp.ID != 0 || resp.Code != CodeBadRequest {
 			t.Fatalf("%s: frame = %+v, want a connection-level %s frame", name, resp, CodeBadRequest)
 		}
 		// The connection dies after the frame.
-		if sc.Scan() {
-			t.Fatalf("%s: connection still serving after a connection-level error: %q", name, sc.Text())
+		if resp, err := rc.read(); err == nil {
+			t.Fatalf("%s: connection still serving after a connection-level error: %+v", name, resp)
 		}
-		conn.Close()
+	}
+}
+
+// TestOversizedFrameAnsweredWithLimit pins the over-limit path: a length
+// header beyond MaxFrameBytes is answered with a connection-level
+// bad_request frame naming the limit — not a silent close — and the
+// connection is closed after it.
+func TestOversizedFrameAnsweredWithLimit(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	_, addr := startServer(t, schema, core.ModeExact)
+	rc := dialRaw(t, addr)
+	rc.send(binary.BigEndian.AppendUint32(nil, MaxFrameBytes+1))
+	resp, err := rc.read()
+	if err != nil {
+		t.Fatalf("no error frame for an over-limit header: %v", err)
+	}
+	if resp.OK || resp.ID != 0 || resp.Code != CodeBadRequest {
+		t.Fatalf("frame = %+v, want a connection-level %s frame", resp, CodeBadRequest)
+	}
+	if !strings.Contains(resp.Error, strconv.Itoa(MaxFrameBytes)) {
+		t.Errorf("error %q does not name the %d-byte limit", resp.Error, MaxFrameBytes)
+	}
+	if resp, err := rc.read(); err == nil {
+		t.Fatalf("connection still serving after an over-limit frame: %+v", resp)
 	}
 }
 

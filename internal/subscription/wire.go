@@ -21,13 +21,19 @@ const (
 
 // MarshalBinary implements encoding.BinaryMarshaler for subscriptions.
 func (s *Subscription) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 3+2*len(s.ranges)*binary.MaxVarintLen32)
-	buf = append(buf, wireVersionSub, byte(len(s.ranges)), byte(s.schema.bits))
+	return s.AppendBinary(make([]byte, 0, 3+2*len(s.ranges)*binary.MaxVarintLen32)), nil
+}
+
+// AppendBinary appends the subscription's wire encoding to dst and
+// returns the extended slice, so callers that frame many payloads encode
+// straight into their own buffer.
+func (s *Subscription) AppendBinary(dst []byte) []byte {
+	dst = append(dst, wireVersionSub, byte(len(s.ranges)), byte(s.schema.bits))
 	for _, r := range s.ranges {
-		buf = binary.AppendUvarint(buf, uint64(r.Lo))
-		buf = binary.AppendUvarint(buf, uint64(r.Hi))
+		dst = binary.AppendUvarint(dst, uint64(r.Lo))
+		dst = binary.AppendUvarint(dst, uint64(r.Hi))
 	}
-	return buf, nil
+	return dst
 }
 
 // UnmarshalSubscription decodes a subscription payload against the given

@@ -1,6 +1,7 @@
 package subscription
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -28,6 +29,27 @@ func TestSubscriptionWireRoundTrip(t *testing.T) {
 		if !back.Equal(s) {
 			t.Fatalf("roundtrip %v -> %v", s, back)
 		}
+	}
+}
+
+// TestAppendBinaryExtendsDst pins AppendBinary's contract: it appends
+// exactly MarshalBinary's bytes behind whatever dst already holds, and
+// allocates nothing when dst has room.
+func TestAppendBinaryExtendsDst(t *testing.T) {
+	schema := MustSchema(12, "a", "b", "c")
+	s := MustParse(schema, "a in [3,900] && c >= 4000")
+	want, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte{0xde, 0xad}
+	got := s.AppendBinary(append([]byte(nil), prefix...))
+	if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+		t.Fatalf("AppendBinary = %x, want %x then %x", got, prefix, want)
+	}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendBinary(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendBinary into a roomy buffer allocates %.1f times", allocs)
 	}
 }
 

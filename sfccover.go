@@ -24,7 +24,7 @@
 //     subscription set across N detectors (hash or curve-prefix
 //     partitioning) and serves batched operations from a worker pool.
 //   - DaemonServer / DaemonClient / DaemonProvider: the sfcd network
-//     protocol (newline-delimited JSON over TCP, binary wire payloads)
+//     protocol (length-prefixed binary frames over TCP)
 //     that turns an Engine into a standalone service. The client is
 //     pipelined and context-aware — concurrent callers share one
 //     connection without head-of-line blocking — and DaemonProvider
@@ -174,11 +174,11 @@ type EngineAddResult = engine.AddResult
 // EngineQueryResult is one CoverQueryBatch outcome.
 type EngineQueryResult = engine.QueryResult
 
-// DaemonServer serves the sfcd line protocol (newline-delimited JSON over
-// TCP, subscriptions and events in the binary wire format) on top of an
-// Engine. Besides the shared engine it multiplexes isolated per-link
-// subscription namespaces, so one daemon can back every link of a broker
-// overlay.
+// DaemonServer serves the sfcd frame protocol (length-prefixed binary
+// frames over TCP, subscriptions and events in their binary wire format)
+// on top of an Engine. Besides the shared engine it multiplexes isolated
+// per-link subscription namespaces, so one daemon can back every link of
+// a broker overlay.
 type DaemonServer = sfcd.Server
 
 // DaemonServerConfig carries the daemon's hardening knobs: a connection
