@@ -372,7 +372,6 @@ func benchEngineCoverQueryBatch(b *testing.B, shards int, telemetryOff bool) {
 	e := engine.MustNew(engine.Config{
 		Detector:     cfg,
 		Shards:       shards,
-		Partition:    engine.PartitionPrefix,
 		Workers:      max(8, runtime.GOMAXPROCS(0)),
 		TelemetryOff: telemetryOff,
 	})
@@ -454,7 +453,6 @@ func TestTelemetryOverheadSmoke(t *testing.T) {
 		e := engine.MustNew(engine.Config{
 			Detector:     cfg,
 			Shards:       4,
-			Partition:    engine.PartitionPrefix,
 			TelemetryOff: telemetryOff,
 		})
 		defer e.Close()
@@ -503,7 +501,7 @@ func BenchmarkEngineAddBatch(b *testing.B) {
 	cfg := engineBenchCfg
 	cfg.Schema = parents[0].Schema()
 	newEngine := func() *engine.Engine {
-		return engine.MustNew(engine.Config{Detector: cfg, Partition: engine.PartitionPrefix})
+		return engine.MustNew(engine.Config{Detector: cfg})
 	}
 	e := newEngine()
 	b.ReportAllocs()
@@ -534,7 +532,7 @@ func BenchmarkEngineAddBatch(b *testing.B) {
 // shard-grouped insert (one stripe+slice lock round trip per shard
 // instead of one per item) dominates the profile. ns/op is per inserted
 // subscription.
-func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
+func BenchmarkEngineAddBatchCold(b *testing.B) {
 	parents, _ := engineBenchWorkload(b)
 	cfg := engineBenchCfg
 	cfg.Schema = parents[0].Schema()
@@ -542,7 +540,7 @@ func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(parents) {
 		b.StopTimer()
-		e := engine.MustNew(engine.Config{Detector: cfg, Shards: 8, Partition: part})
+		e := engine.MustNew(engine.Config{Detector: cfg, Shards: 8})
 		n := min(len(parents), b.N-i)
 		b.StartTimer()
 		for _, r := range e.AddBatch(parents[:n]) {
@@ -554,11 +552,6 @@ func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
 		e.Close()
 		b.StartTimer()
 	}
-}
-
-func BenchmarkEngineAddBatchColdHash(b *testing.B) { benchEngineAddBatchCold(b, engine.PartitionHash) }
-func BenchmarkEngineAddBatchColdPrefix(b *testing.B) {
-	benchEngineAddBatchCold(b, engine.PartitionPrefix)
 }
 
 // --- Rebalancing benchmarks -------------------------------------------
@@ -595,9 +588,8 @@ func benchSkewedEngine(b *testing.B, rebalance bool, maxCubes int) (*engine.Engi
 	}
 	pop, probes := subs[:20000], subs[20000:]
 	e := engine.MustNew(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: maxCubes},
-		Shards:    16,
-		Partition: engine.PartitionPrefix,
+		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: maxCubes},
+		Shards:   16,
 	})
 	for i, s := range pop {
 		if _, err := e.Insert(s); err != nil {
@@ -747,9 +739,8 @@ func benchBrokerChurn(b *testing.B, backend broker.Backend) {
 	}
 }
 
-func BenchmarkBrokerChurnDetector(b *testing.B)     { benchBrokerChurn(b, broker.BackendDetector) }
-func BenchmarkBrokerChurnEngineHash(b *testing.B)   { benchBrokerChurn(b, broker.BackendEngineHash) }
-func BenchmarkBrokerChurnEnginePrefix(b *testing.B) { benchBrokerChurn(b, broker.BackendEnginePrefix) }
+func BenchmarkBrokerChurnDetector(b *testing.B) { benchBrokerChurn(b, broker.BackendDetector) }
+func BenchmarkBrokerChurnEngine(b *testing.B)   { benchBrokerChurn(b, broker.BackendEngine) }
 
 // --- Daemon client benchmarks -----------------------------------------
 //
@@ -829,10 +820,9 @@ func startBenchDaemon(b *testing.B) (addr string, queries []*subscription.Subscr
 	// the two wire disciplines cost rather than the index search.
 	cfg := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 1000}
 	eng := engine.MustNew(engine.Config{
-		Detector:  cfg,
-		Shards:    4,
-		Partition: engine.PartitionPrefix,
-		Workers:   max(8, runtime.GOMAXPROCS(0)),
+		Detector: cfg,
+		Shards:   4,
+		Workers:  max(8, runtime.GOMAXPROCS(0)),
 	})
 	srv := sfcd.NewServer(eng)
 	bound, err := srv.Listen("127.0.0.1:0")

@@ -4,13 +4,13 @@
 // propagated, suppression counts and event traffic.
 //
 // The -backend flag selects the per-link covering provider: a single
-// detector, a hash-sharded engine, or a curve-prefix engine — all running
-// the identical routing protocol.
+// detector, a sharded engine, or namespaces on an sfcd daemon — all
+// running the identical routing protocol.
 //
 // Example:
 //
 //	pubsubsim -brokers 31 -topology tree -subs 300 -mode approx -eps 0.2 \
-//	          -backend engine-prefix -shards 4
+//	          -backend engine -shards 4
 package main
 
 import (
@@ -66,21 +66,21 @@ func main() {
 	flag.StringVar(&p.mode, "mode", "approx", "covering mode: off | exact | approx")
 	flag.Float64Var(&p.eps, "eps", 0.2, "approximation parameter for -mode approx")
 	flag.IntVar(&p.maxCubes, "cap", 10000, "per-query probe budget (0 = library default, -1 = unlimited)")
-	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray | onion")
+	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray")
 	flag.IntVar(&p.cache, "decomp-cache", 0, "decomposition cache size in entries (0 = default, -1 = disabled)")
 	flag.BoolVar(&p.adaptive, "adaptive-budget", false, "derive per-query budgets from observed workload statistics")
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")
 	flag.Int64Var(&p.seed, "seed", 1, "workload seed")
-	flag.StringVar(&p.backend, "backend", "detector", "per-link provider: detector | engine-hash | engine-prefix | remote")
+	flag.StringVar(&p.backend, "backend", "detector", "per-link provider: detector | engine | remote")
 	flag.StringVar(&p.daemon, "daemon", "", "sfcd daemon address for -backend remote; \"local\" spins an in-process daemon so the whole overlay shares one index service; \"local-ha\" spins a replicated primary+follower pair with client-side failover")
 	flag.IntVar(&p.failover, "failover-round", 0, "kill the primary daemon and promote the follower at the start of this churn round (needs -daemon local-ha; 0 = never)")
-	flag.IntVar(&p.shards, "shards", 0, "per-link engine shard count (engine backends; 0 = default)")
+	flag.IntVar(&p.shards, "shards", 0, "per-link engine shard count (engine backend; 0 = default)")
 	flag.IntVar(&p.batch, "batch", 0, "covered-set re-forward probe batch size (0 = whole set)")
 	flag.Float64Var(&p.churn, "churn", 0.25, "fraction of the remaining subscriptions withdrawn per churn round")
 	flag.IntVar(&p.rounds, "churn-rounds", 1, "churn+publish rounds; each withdraws -churn of the remaining subscriptions, republishes the event batch and reports delivery-latency percentiles")
 	flag.Float64Var(&p.rebalThreshold, "rebalance-threshold", 0,
-		"occupancy skew ratio arming each engine-prefix link's online slice rebalancer (must exceed 1; 0 = off)")
+		"occupancy skew ratio arming each engine link's online slice rebalancer (must exceed 1; 0 = off; inert in exact mode, whose links scan linearly)")
 	flag.DurationVar(&p.rebalInterval, "rebalance-interval", 0,
 		"background rebalancer poll period (0 = engine default)")
 	flag.Parse()

@@ -37,15 +37,17 @@ func TestRunAllModesAndTopologies(t *testing.T) {
 	}
 }
 
+// TestRunEngineBackends drives both engine plans: approx links run the
+// SFC strategy's routed plan, exact links the linear fan-out plan.
 func TestRunEngineBackends(t *testing.T) {
-	for _, backend := range []string{"engine-hash", "engine-prefix"} {
+	for _, mode := range []string{"approx", "exact"} {
 		p := base()
 		p.brokers, p.nSubs = 5, 30
-		p.mode, p.eps, p.maxCubes = "approx", 0.3, 2000
-		p.backend, p.shards, p.batch = backend, 2, 8
+		p.mode, p.eps, p.maxCubes = mode, 0.3, 2000
+		p.backend, p.shards, p.batch = "engine", 2, 8
 		p.churn, p.rounds = 0.5, 3
 		if _, err := run(p); err != nil {
-			t.Errorf("backend %s: %v", backend, err)
+			t.Errorf("mode %s: %v", mode, err)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sfcd -addr :7421 -attrs volume,price -bits 10 \
-//	     -mode approx -epsilon 0.3 -shards 8 -partition prefix \
+//	     -mode approx -epsilon 0.3 -shards 8 \
 //	     -data-dir /var/lib/sfcd -snapshot-interval 5m
 //
 // With -data-dir the daemon's subscription state (the shared engine and
@@ -69,7 +69,6 @@ type options struct {
 	decompCache       int
 	adaptiveBudget    bool
 	shards            int
-	partition         string
 	workers           int
 	seed              int64
 	trackCovered      bool
@@ -109,7 +108,6 @@ func buildConfig(o options) (engine.Config, error) {
 			TrackCovered:    o.trackCovered,
 		},
 		Shards:             o.shards,
-		Partition:          engine.Partition(o.partition),
 		Workers:            o.workers,
 		RebalanceThreshold: o.rebalanceThresh,
 		RebalanceInterval:  o.rebalanceInterval,
@@ -222,19 +220,18 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&o.mode, "mode", "approx", "detection mode: off, exact or approx")
 	fs.Float64Var(&o.epsilon, "epsilon", 0.3, "approximation parameter (0 < eps < 1, approx mode)")
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, linear or kdtree")
-	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
+	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert or gray")
 	fs.StringVar(&o.array, "array", "", "ordered structure: treap (default) or skiplist")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query probe budget (-1 = unlimited)")
 	fs.IntVar(&o.decompCache, "decomp-cache", 0, "decomposition cache size in entries (0 = default, -1 = disabled); hits replay memoized probe orders bit-identically")
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
-	fs.StringVar(&o.partition, "partition", "prefix", "partition strategy: prefix (shared-decomposition plan) or hash")
 	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	fs.Int64Var(&o.seed, "seed", 1, "index randomization seed")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	fs.Float64Var(&o.rebalanceThresh, "rebalance-threshold", 0,
-		"occupancy skew ratio arming the online slice rebalancer (must exceed 1; 0 = background rebalancing off; prefix partition only)")
+		"occupancy skew ratio arming the online slice rebalancer (must exceed 1; 0 = background rebalancing off; sfc strategy only)")
 	fs.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0,
 		"background rebalancer poll period (0 = engine default)")
 	fs.IntVar(&o.rebalanceMaxMoves, "rebalance-max-moves", 0,
@@ -296,7 +293,7 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	lg.Info("serving", "addr", bound.String(), "bits", o.bits, "attrs", o.attrs,
-		"shards", eng.NumShards(), "partition", string(eng.PartitionStrategy()), "mode", eng.Mode().String(),
+		"shards", eng.NumShards(), "strategy", o.strategy, "mode", eng.Mode().String(),
 		"role", srv.Role())
 
 	if so.metricsAddr != "" {

@@ -19,7 +19,7 @@ import (
 func defaultOptions() options {
 	return options{
 		attrs: "volume,price", bits: 10, mode: "approx", epsilon: 0.3,
-		strategy: "sfc", partition: "hash", seed: 1,
+		strategy: "sfc", seed: 1,
 	}
 }
 

@@ -20,16 +20,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A 4-shard engine, curve-prefix partitioned: subscriptions that are
-	// close on the space filling curve — the likely covers — share a shard.
+	// A 4-shard engine on the SFC strategy: shards are contiguous slices
+	// of the space filling curve, so subscriptions close on the curve —
+	// the likely covers — share a shard.
 	eng, err := sfccover.NewEngine(sfccover.EngineConfig{
 		Detector: sfccover.DetectorConfig{
 			Schema:  schema,
 			Mode:    sfccover.ModeApprox,
 			Epsilon: 0.3,
 		},
-		Shards:    4,
-		Partition: sfccover.PartitionPrefix,
+		Shards: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -57,8 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	fmt.Printf("connected: %d shards, %s partition, %s mode\n",
-		client.Shards(), client.Partition(), client.Mode())
+	fmt.Printf("connected: %d shards, %s mode\n", client.Shards(), client.Mode())
 
 	// One broad subscription, then a batch of narrower ones: the covering
 	// query that runs inside every subscribe spots the redundancy.

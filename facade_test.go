@@ -180,7 +180,7 @@ func TestEngineBackedNetworkFacade(t *testing.T) {
 		Schema:  schema,
 		Mode:    sfccover.ModeApprox,
 		Epsilon: 0.2,
-		Backend: sfccover.NetworkBackendEnginePrefix,
+		Backend: sfccover.NetworkBackendEngine,
 		Shards:  4,
 	})
 	if err != nil {

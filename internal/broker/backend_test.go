@@ -9,7 +9,7 @@ import (
 	"sfccover/internal/subscription"
 )
 
-var allBackends = []Backend{BackendDetector, BackendEngineHash, BackendEnginePrefix}
+var allBackends = []Backend{BackendDetector, BackendEngine}
 
 func TestBackendValidation(t *testing.T) {
 	cfg := Config{Schema: testSchema(), Mode: core.ModeExact, Backend: "quantum"}
@@ -36,7 +36,7 @@ func eventsEqual(a, b []subscription.Event) bool {
 
 // TestBackendsDeliverIdentically pins the acceptance property: for every
 // topology/mode combination, event deliveries are bit-identical between
-// the single-detector backend and both engine backends — including after
+// the single-detector backend and the engine backend — including after
 // covering-subscription removal, which the workload exercises both via
 // its random unsubscribes and via a planted wide-cover withdrawal.
 func TestBackendsDeliverIdentically(t *testing.T) {
@@ -97,36 +97,52 @@ func TestBackendsDeliverIdentically(t *testing.T) {
 }
 
 // TestRebalancingBackendDeliversIdentically pins the acceptance property
-// for online rebalancing: an engine-prefix network whose per-link
+// for online rebalancing: an engine-backed network whose per-link
 // background rebalancers are armed at the most aggressive legal settings
-// (so boundaries move while the workload runs) must deliver bit-identically
-// to the single-detector reference, in every mode.
+// must deliver bit-identically to the single-detector reference. In
+// approximate mode the links run the routed plan and boundaries must move
+// while the workload runs; the exact subtest's linear links run the
+// fan-out plan, which has no boundaries, and pins its deliveries.
 func TestRebalancingBackendDeliversIdentically(t *testing.T) {
 	schema := testSchema()
 	const nClients = 6
 	ops := genWorkload(schema, 505, 110, nClients)
-	configs := map[string]Config{
-		"exact":  {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-		"approx": {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 3000},
+	configs := map[string]struct {
+		cfg   Config
+		moves bool // boundaries must move during the run
+	}{
+		"exact":  {Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}, false},
+		"approx": {Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 3000}, true},
 	}
-	for cfgName, base := range configs {
+	for cfgName, tc := range configs {
 		t.Run(cfgName, func(t *testing.T) {
-			ref := base
+			ref := tc.cfg
 			ref.Backend = BackendDetector
 			want := runWorkload(t, ref, BalancedTree(7), ops, nClients)
 
-			cfg := base
-			cfg.Backend = BackendEnginePrefix
+			cfg := tc.cfg
+			cfg.Backend = BackendEngine
 			cfg.Shards = 4
 			cfg.BatchSize = 4
 			cfg.RebalanceThreshold = 1.01
 			cfg.RebalanceInterval = time.Millisecond
-			got := runWorkload(t, cfg, BalancedTree(7), ops, nClients)
+			n := MustNetwork(BalancedTree(7), cfg)
+			defer n.Close()
+			got := driveWorkload(t, n, ops, nClients)
 			for c := range want {
 				if !eventsEqual(got[c], want[c]) {
 					t.Fatalf("client %d deliveries differ under rebalancing (%d vs %d events)",
 						c, len(got[c]), len(want[c]))
 				}
+			}
+			moves := 0
+			for _, b := range n.brokers {
+				for _, st := range b.out {
+					moves += st.fwd.Stats().BoundaryMoves
+				}
+			}
+			if tc.moves && moves == 0 {
+				t.Fatal("no slice boundary moved on any engine link during the run")
 			}
 		})
 	}
@@ -323,22 +339,20 @@ func TestConcurrentEngineBackend(t *testing.T) {
 	const nClients = 6
 	ops := genWorkload(schema, 11, 80, nClients)
 	want := phasedOracle(ops, nClients)
-	for _, backend := range []Backend{BackendEngineHash, BackendEnginePrefix} {
-		t.Run(string(backend), func(t *testing.T) {
-			got, m := runConcurrentPhased(t, Config{
-				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
-				Backend: backend, Shards: 2, BatchSize: 8,
-			}, BalancedTree(7), ops, nClients)
-			if m.ProtocolErrors != 0 {
-				t.Fatalf("protocol errors: %d", m.ProtocolErrors)
+	t.Run(string(BackendEngine), func(t *testing.T) {
+		got, m := runConcurrentPhased(t, Config{
+			Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
+			Backend: BackendEngine, Shards: 2, BatchSize: 8,
+		}, BalancedTree(7), ops, nClients)
+		if m.ProtocolErrors != 0 {
+			t.Fatalf("protocol errors: %d", m.ProtocolErrors)
+		}
+		for c := range want {
+			if eventMultiset(got[c]) != eventMultiset(want[c]) {
+				t.Fatalf("client %d delivery multiset differs from oracle", c)
 			}
-			for c := range want {
-				if eventMultiset(got[c]) != eventMultiset(want[c]) {
-					t.Fatalf("client %d delivery multiset differs from oracle", c)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestBatchSizeInsensitivity: the covered-set re-forward chunking must not
@@ -351,7 +365,7 @@ func TestBatchSizeInsensitivity(t *testing.T) {
 	for _, batch := range []int{0, 1, 3, 64} {
 		cfg := Config{
 			Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear,
-			Backend: BackendEnginePrefix, Shards: 2, BatchSize: batch,
+			Backend: BackendEngine, Shards: 2, BatchSize: batch,
 		}
 		got := runWorkload(t, cfg, Star(5), ops, nClients)
 		if ref == nil {
@@ -372,7 +386,7 @@ func ExampleConfig_backend() {
 		Schema:  schema,
 		Mode:    core.ModeApprox,
 		Epsilon: 0.2,
-		Backend: BackendEnginePrefix,
+		Backend: BackendEngine,
 		Shards:  4,
 	})
 	defer n.Close()

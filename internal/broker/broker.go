@@ -43,7 +43,7 @@ type Config struct {
 	// MaxCubes caps per-query work in SFC searches (0 = unlimited).
 	MaxCubes int
 	// Curve selects the space filling curve for SFC searches: "z"
-	// (default), "hilbert", "gray" or "onion".
+	// (default), "hilbert" or "gray".
 	Curve string
 	// DecompCacheSize bounds each link index's decomposition cache
 	// (0 = default, negative disables); see core.Config.DecompCacheSize.
@@ -54,12 +54,12 @@ type Config struct {
 	// Seed derives the deterministic randomness of the SFC arrays.
 	Seed int64
 	// Backend selects the per-link covering provider: a single Detector
-	// (default), a hash-sharded engine, a curve-prefix engine, or link
-	// namespaces on a shared sfcd daemon. Networks with engine backends
-	// own worker pools and remote-backed networks own a daemon
-	// connection; call Close when done.
+	// (default), a sharded engine, or link namespaces on a shared sfcd
+	// daemon. Networks with the engine backend own worker pools and
+	// remote-backed networks own a daemon connection; call Close when
+	// done.
 	Backend Backend
-	// Shards is the per-link shard count for the engine backends
+	// Shards is the per-link shard count for the engine backend
 	// (0 = the engine default).
 	Shards int
 	// DaemonAddr is the shared sfcd daemon's TCP address (required for
@@ -90,8 +90,8 @@ type Config struct {
 	// RebalanceThreshold arms each engine-backed link's background slice
 	// rebalancer: when a link's curve-prefix occupancy skew reaches it,
 	// the engine moves slice boundaries back toward balance (must exceed
-	// 1 when set; 0 disables; inert on non-prefix backends, whose
-	// placement cannot skew by key locality).
+	// 1 when set; 0 disables; inert on the linear and KD-tree strategies,
+	// whose hash placement cannot skew by key locality).
 	RebalanceThreshold float64
 	// RebalanceInterval is the background rebalancer's poll period
 	// (0 = the engine default).

@@ -274,6 +274,13 @@ func runWorkload(t *testing.T, cfg Config, topo Topology, ops []workloadOp, nCli
 	t.Helper()
 	n := MustNetwork(topo, cfg)
 	defer n.Close()
+	return driveWorkload(t, n, ops, nClients)
+}
+
+// driveWorkload is runWorkload on a caller-owned network, for tests that
+// inspect the network after the run.
+func driveWorkload(t *testing.T, n *Network, ops []workloadOp, nClients int) [][]subscription.Event {
+	t.Helper()
 	clients := make([]*Client, nClients)
 	for i := range clients {
 		c, err := n.AttachClient(i % n.NumBrokers())
@@ -298,7 +305,7 @@ func runWorkload(t *testing.T, cfg Config, topo Topology, ops []workloadOp, nCli
 		n.Drain()
 	}
 	if m := n.Metrics(); m.ProtocolErrors != 0 {
-		t.Fatalf("mode %v: protocol errors: %d", cfg.Mode, m.ProtocolErrors)
+		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
 	}
 	out := make([][]subscription.Event, nClients)
 	for i, c := range clients {

@@ -27,7 +27,7 @@ func TestDetectorProviderConformance(t *testing.T) {
 // full Provider contract with the decomposition cache enabled.
 func TestDetectorConformancePerCurve(t *testing.T) {
 	schema := coretest.Schema()
-	for _, curve := range []string{"z", "hilbert", "gray", "onion"} {
+	for _, curve := range []string{"z", "hilbert", "gray"} {
 		t.Run(curve, func(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
 				return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, Curve: curve})

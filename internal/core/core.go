@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 
+	"sfccover/internal/cubes"
 	"sfccover/internal/dominance"
 	"sfccover/internal/obs"
 	"sfccover/internal/subscription"
@@ -93,16 +94,20 @@ type Config struct {
 	Curve string
 	Array string
 	Seed  int64
-	// MaxCubes caps the probes a single SFC query may issue. Zero selects
-	// DefaultMaxCubes; UnlimitedCubes (-1) removes the cap entirely.
+	// MaxCubes caps the standard cubes a single SFC query may generate.
+	// Zero selects DefaultMaxCubes; UnlimitedCubes (-1) removes the cap
+	// entirely.
 	//
 	// A cap is the pragmatic answer to the paper's aspect-ratio caveat:
 	// subscriptions with equality or one-sided constraints yield query
 	// regions with unit-length sides, whose greedy partitions degenerate
 	// to astronomically many small cubes (the 2^(α(d−1)) factor in
-	// Theorem 3.1). Capping turns those queries into coarser approximate
-	// searches — covers can be missed, which only costs redundant
-	// forwarding, never correctness.
+	// Theorem 3.1). In ModeApprox the cap turns those queries into
+	// coarser approximate searches — covers can be missed, which only
+	// costs redundant forwarding, never correctness. In ModeExact a
+	// query whose region needs more cubes than the cap fails with
+	// ErrCubeLimit before probing anything, since a truncated exhaustive
+	// search would report a miss it cannot vouch for.
 	MaxCubes int
 	// DecompCacheSize bounds the SFC index's decomposition cache in
 	// entries: 0 selects the dominance package's default, negative
@@ -132,6 +137,10 @@ const (
 	// UnlimitedCubes disables the per-query probe budget.
 	UnlimitedCubes = -1
 )
+
+// ErrCubeLimit fails an exact-mode SFC query whose region decomposes
+// into more standard cubes than Config.MaxCubes allows.
+var ErrCubeLimit = cubes.ErrCubeLimit
 
 // Totals aggregates query-cost counters across a detector's lifetime, in
 // the cost units of the paper's analysis.

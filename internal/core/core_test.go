@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sfccover/internal/subscription"
@@ -48,7 +50,9 @@ func TestModeString(t *testing.T) {
 func TestExactDetectsCovering(t *testing.T) {
 	schema := testSchema(t)
 	for _, strat := range []Strategy{StrategySFC, StrategyLinear, StrategyKDTree} {
-		d := MustNew(Config{Schema: schema, Mode: ModeExact, Strategy: strat})
+		// Exhaustive SFC search of these regions needs more cubes than
+		// the default cap admits.
+		d := MustNew(Config{Schema: schema, Mode: ModeExact, Strategy: strat, MaxCubes: UnlimitedCubes})
 		wide := subscription.MustParse(schema, "x in [10,200] && y in [20,220]")
 		wideID, covered, _, err := d.Add(wide)
 		if err != nil {
@@ -72,6 +76,26 @@ func TestExactDetectsCovering(t *testing.T) {
 		if d.Len() != 3 {
 			t.Fatalf("%s: Len=%d", strat, d.Len())
 		}
+	}
+}
+
+// TestExhaustiveQueryRespectsMaxCubes: an exact-mode SFC query whose
+// region decomposes into more standard cubes than MaxCubes fails with
+// ErrCubeLimit after bounded work. Uncapped, this one query on an empty
+// 2-attribute, 10-bit detector enumerates millions of cubes.
+func TestExhaustiveQueryRespectsMaxCubes(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	d := MustNew(Config{Schema: schema, Mode: ModeExact, MaxCubes: 4096})
+	q := subscription.MustParse(schema, "volume in [100,900] && price in [10,400]")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, found, _, err := d.FindCover(q)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCubeLimit) || found {
+		t.Fatalf("FindCover = (found %v, err %v), want ErrCubeLimit", found, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("refused query allocated %d bytes, want at most 16 MiB", alloc)
 	}
 }
 

@@ -125,7 +125,9 @@ func TestFindCoveredAgreesWithOracle(t *testing.T) {
 func TestDrainCovered(t *testing.T) {
 	schema := testSchema(t)
 	build := func(track bool) *Detector {
-		d := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: track})
+		// The survivor lookup below is an exhaustive SFC search whose
+		// region needs more cubes than the default cap admits.
+		d := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: track, MaxCubes: UnlimitedCubes})
 		for _, expr := range []string{
 			"x in [10,20] && y in [10,20]",
 			"x in [30,40] && y in [30,40]",

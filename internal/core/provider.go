@@ -11,8 +11,8 @@ import (
 // single-lock Detector and the sharded engine (and, through them, anything
 // else that can answer covering questions about a dynamic subscription
 // set). Routers, brokers and services program against it so the choice of
-// backing index — one detector, hash-sharded detectors, a curve-prefix
-// sharded index — is a configuration knob, not a code path.
+// backing index — one detector, a sharded engine, a remote daemon — is a
+// configuration knob, not a code path.
 //
 // Every implementation preserves the paper's asymmetry: a reported cover
 // (or covered subscription) is always genuine; approximate modes may miss.

@@ -90,7 +90,7 @@ func (c Cube) String() string { return fmt.Sprintf("Cube{corner=%v side=%d}", c.
 // must truncate the region first (see TruncateExtremal).
 func Decompose(r geom.Rect, k int) ([]Cube, error) {
 	var dc Decomposer
-	cs, err := dc.Decompose(r, k)
+	cs, err := dc.Decompose(r, k, 0)
 	if err != nil {
 		return nil, err
 	}

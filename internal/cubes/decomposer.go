@@ -1,6 +1,7 @@
 package cubes
 
 import (
+	"errors"
 	"fmt"
 
 	"sfccover/internal/geom"
@@ -26,6 +27,10 @@ type Decomposer struct {
 	out      []Cube    // materialized headers over the arena
 	ranges   []sfc.KeyRange
 }
+
+// ErrCubeLimit reports a decomposition that needs more standard cubes than
+// the caller's limit allows.
+var ErrCubeLimit = errors.New("cubes: decomposition exceeds the cube limit")
 
 // cubeRef names a standard cube by its corner's arena offset and side:
 // offsets stay valid across arena growth where slices would not.
@@ -70,10 +75,13 @@ func checkUniverse(r geom.Rect, k int) error {
 
 // Decompose is the scratch-buffer form of the package-level Decompose:
 // the same greedy minimal partition (Lemma 3.3) in the same
-// recursive-partition order, emitted into the Decomposer's arenas.
+// recursive-partition order, emitted into the Decomposer's arenas. A
+// positive limit bounds the work: a partition needing more than limit
+// cubes fails with ErrCubeLimit as soon as the limit is exceeded
+// (0 = no limit).
 //
 //sfc:hotpath
-func (dc *Decomposer) Decompose(r geom.Rect, k int) ([]Cube, error) {
+func (dc *Decomposer) Decompose(r geom.Rect, k, limit int) ([]Cube, error) {
 	if err := checkUniverse(r, k); err != nil {
 		return nil, err
 	}
@@ -90,6 +98,9 @@ func (dc *Decomposer) Decompose(r geom.Rect, k int) ([]Cube, error) {
 			continue
 		}
 		if inside {
+			if limit > 0 && len(dc.refs) == limit {
+				return nil, fmt.Errorf("%w of %d", ErrCubeLimit, limit)
+			}
 			dc.refs = append(dc.refs, top)
 			continue
 		}

@@ -1,6 +1,7 @@
 package cubes
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,8 @@ func sameCubes(t *testing.T, label string, got, want []Cube) {
 
 // TestDecomposerMatchesDecompose checks the arena-backed decomposer
 // against the package-level entry point — same cubes, same order —
-// while reusing one Decomposer across many rectangles.
+// while reusing one Decomposer across many rectangles, and that a cube
+// limit admits exactly the partitions that fit in it.
 func TestDecomposerMatchesDecompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var dc Decomposer
@@ -53,7 +55,10 @@ func TestDecomposerMatchesDecompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dc.Decompose(r, k)
+		if _, err := dc.Decompose(r, k, len(want)-1); len(want) > 1 && !errors.Is(err, ErrCubeLimit) {
+			t.Fatalf("limit %d on a %d-cube partition: err = %v, want ErrCubeLimit", len(want)-1, len(want), err)
+		}
+		got, err := dc.Decompose(r, k, len(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +117,7 @@ func TestDecomposerSteadyStateZeroAlloc(t *testing.T) {
 	r := geom.MustRect([]uint32{3, 1}, []uint32{13, 14})
 	curve := sfc.MustZ(2, 4)
 	work := func() {
-		cs, err := dc.Decompose(r, 4)
+		cs, err := dc.Decompose(r, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

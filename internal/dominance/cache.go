@@ -231,7 +231,7 @@ func (c *decompCache) search(curve sfc.Curve, k, maxCubes int, sc *queryScratch,
 			// too large to cache, so go straight to the uncached search
 			// without re-enumerating.
 			if eps == 0 {
-				return searchExhaustive(curve, k, sc, probe, region, stats, tr)
+				return searchExhaustive(curve, k, maxCubes, sc, probe, region, stats, tr)
 			}
 			return searchApprox(curve, k, maxCubes, sc, probe, region, eps, stats, tr)
 		}
@@ -265,7 +265,7 @@ func (c *decompCache) search(curve sfc.Curve, k, maxCubes int, sc *queryScratch,
 		// and only note the shape. The recording waits for a second
 		// occurrence to prove the shape recurs.
 		if eps == 0 {
-			return searchExhaustive(curve, k, sc, probe, region, stats, tr)
+			return searchExhaustive(curve, k, maxCubes, sc, probe, region, stats, tr)
 		}
 		return searchApprox(curve, k, maxCubes, sc, probe, region, eps, stats, tr)
 	}
@@ -309,14 +309,15 @@ func (c *decompCache) search(curve sfc.Curve, k, maxCubes int, sc *queryScratch,
 // search — no probing — and packages the merged runs for replay. The
 // returned entry is always usable for the current query; cacheable
 // reports whether it stayed within the per-entry bound and may be
-// published.
+// published. A partition over maxCubes fails with cubes.ErrCubeLimit,
+// as in searchExhaustive.
 func buildExhaustiveEntry(curve sfc.Curve, k, maxCubes int, sc *queryScratch, region geom.Extremal) (*cacheEntry, bool, error) {
 	e := &cacheEntry{
 		lens:     append([]uint64(nil), region.Len...),
 		eps:      0,
 		maxCubes: maxCubes,
 	}
-	partition, err := sc.dec.Decompose(sc.rect(region), k)
+	partition, err := sc.dec.Decompose(sc.rect(region), k, maxCubes)
 	if err != nil {
 		return nil, false, err
 	}

@@ -22,8 +22,7 @@ func TestCacheBitIdentical(t *testing.T) {
 		{Dims: 2, Bits: 6, Curve: "z"},
 		{Dims: 2, Bits: 6, Curve: "hilbert", MaxCubes: 8},
 		{Dims: 3, Bits: 5, Curve: "gray", MaxCubes: 64},
-		{Dims: 3, Bits: 5, Curve: "onion"},
-		{Dims: 2, Bits: 8, Curve: "onion", MaxCubes: 16},
+		{Dims: 3, Bits: 5, Curve: "hilbert"},
 	}
 	epsilons := []float64{0, 0.05, 0.3, 0.6}
 	for _, cfg := range configs {

@@ -73,17 +73,20 @@ type Config struct {
 	Dims int
 	// Bits is k; coordinates range over [0, 2^k−1].
 	Bits int
-	// Curve selects the space filling curve: "z" (default), "hilbert",
-	// "gray" or "onion".
+	// Curve selects the space filling curve: "z" (default), "hilbert" or
+	// "gray".
 	Curve string
 	// Array selects the ordered structure: "treap" (default) or "skiplist".
 	Array string
 	// Seed drives the ordered structure's internal randomness.
 	Seed int64
 	// MaxCubes caps the cubes generated per query (0 = unlimited). When
-	// the cap fires the search still probes the largest-volume prefix of
-	// the partition, so it degrades to a coarser approximation; Stats
-	// reports the volume actually covered.
+	// the cap fires on an approximate (ε > 0) search, the search has
+	// still probed the largest-volume prefix of the partition, so it
+	// degrades to a coarser approximation; Stats reports the volume
+	// actually covered. An exhaustive (ε = 0) search whose partition
+	// exceeds the cap fails with cubes.ErrCubeLimit instead, since a cut
+	// short exhaustive answer would be a silent miss.
 	MaxCubes int
 	// CacheSize bounds the decomposition cache in entries: 0 selects
 	// DefaultCacheSize, negative disables the cache. Cache hits replay a

@@ -20,16 +20,19 @@ type probeFn func(lo, hi bits.Key) (id uint64, ok bool)
 // searchExhaustive decomposes the whole query region, merges the
 // partition into maximal runs — the probe count is runs(R(ℓ)), the paper's
 // exhaustive cost — and probes every run until a point turns up. A
-// non-nil tr collects stage timings: "decompose" covers the partition and
-// run merge, "probes" the probe loop.
+// partition of more than maxCubes cubes (when positive) fails the query
+// with cubes.ErrCubeLimit before any probe: an exhaustive answer cannot
+// be cut short without becoming a silent miss. A non-nil tr collects
+// stage timings: "decompose" covers the partition and run merge,
+// "probes" the probe loop.
 //
 //sfc:hotpath
-func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, probe probeFn, region geom.Extremal, stats *Stats, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchExhaustive(curve sfc.Curve, k, maxCubes int, sc *queryScratch, probe probeFn, region geom.Extremal, stats *Stats, tr *obs.QueryTrace) (uint64, bool, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	partition, err := sc.dec.Decompose(sc.rect(region), k)
+	partition, err := sc.dec.Decompose(sc.rect(region), k, maxCubes)
 	if err != nil {
 		return 0, false, err
 	}

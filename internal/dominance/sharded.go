@@ -80,12 +80,10 @@ type shardSlot struct {
 // shard count while keeping the prefix arithmetic in a uint64.
 const maxPrefixBits = 16
 
-// PrefixBits returns the routing-prefix width for a key of keyLen bits:
-// the full key when it is narrower than the 16-bit cap, the cap otherwise.
-// It is exported so placement layers that mirror the initial uniform
-// slice layout (the engine's curve-prefix fan-out plan) derive the same
-// prefix from the schema instead of hard-coding it.
-func PrefixBits(keyLen int) int {
+// routingPrefixBits returns the routing-prefix width for a key of keyLen
+// bits: the full key when it is narrower than the 16-bit cap, the cap
+// otherwise.
+func routingPrefixBits(keyLen int) int {
 	if keyLen < maxPrefixBits {
 		return keyLen
 	}
@@ -105,7 +103,7 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("dominance: %w", err)
 	}
 	keyLen := cfg.Dims * cfg.Bits
-	prefixBits := PrefixBits(keyLen)
+	prefixBits := routingPrefixBits(keyLen)
 	if n > 1<<uint(prefixBits) {
 		return nil, fmt.Errorf("dominance: %d shards exceed the %d key-prefix slices", n, 1<<uint(prefixBits))
 	}

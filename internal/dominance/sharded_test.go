@@ -1,12 +1,14 @@
 package dominance
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/cubes"
 )
 
 func TestNewShardedValidation(t *testing.T) {
@@ -27,7 +29,8 @@ func TestNewShardedValidation(t *testing.T) {
 // TestShardedParity: over the same point set, the sharded index probes the
 // same cube sequence as the single-array index, so found/not-found, cube
 // and run counts must agree exactly — exhaustive and approximate, at every
-// shard count, on every curve.
+// shard count, on every curve — and so must an exhaustive query's refusal
+// at the cube cap.
 func TestShardedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, curve := range []string{"z", "hilbert", "gray"} {
@@ -51,14 +54,15 @@ func TestShardedParity(t *testing.T) {
 		for _, eps := range []float64{0, 0.3} {
 			for qi := 0; qi < 200; qi++ {
 				q := randomPoints(rng, 1, 3, 6)[0]
-				_, wantOK, wantStats, err := single.Query(q, eps)
-				if err != nil {
-					t.Fatal(err)
+				_, wantOK, wantStats, wantErr := single.Query(q, eps)
+				if wantErr != nil && !errors.Is(wantErr, cubes.ErrCubeLimit) {
+					t.Fatal(wantErr)
 				}
 				for _, x := range sharded {
 					_, gotOK, gotStats, err := x.Query(q, eps)
-					if err != nil {
-						t.Fatal(err)
+					if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, cubes.ErrCubeLimit)) {
+						t.Fatalf("curve %s eps %v shards %d query %d: err = %v, single index err = %v",
+							curve, eps, x.NumShards(), qi, err, wantErr)
 					}
 					if gotOK != wantOK {
 						t.Fatalf("curve %s eps %v shards %d query %d: found=%v, single index found=%v",
@@ -138,7 +142,7 @@ func TestShardedInitialBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: %d boundaries", n, got)
 		}
 		keyLen := cfg.Dims * cfg.Bits
-		p := PrefixBits(keyLen)
+		p := routingPrefixBits(keyLen)
 		for _, pt := range randomPoints(rng, 300, 3, 6) {
 			top, _ := x.curve.Key(pt).ShrN(keyLen - p).Uint64()
 			want := int(top * uint64(n) >> uint(p))

@@ -81,7 +81,7 @@ func dispatchSearch(curve sfc.Curve, k, maxCubes int, cache *decompCache, sc *qu
 		return cache.search(curve, k, maxCubes, sc, probe, region, eps, stats, tr)
 	}
 	if eps == 0 {
-		return searchExhaustive(curve, k, sc, probe, region, stats, tr)
+		return searchExhaustive(curve, k, maxCubes, sc, probe, region, stats, tr)
 	}
 	return searchApprox(curve, k, maxCubes, sc, probe, region, eps, stats, tr)
 }

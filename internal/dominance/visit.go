@@ -12,7 +12,8 @@ import (
 // VisitDominating reports every indexed point that dominates q and lies in
 // the searched region, invoking visit with each point's id until visit
 // returns false. With eps == 0 the search region is the whole dominance
-// region (exhaustive — mind Theorem 4.1's cost); with 0 < eps < 1 it is the
+// region (exhaustive — mind Theorem 4.1's cost; a region needing more than
+// MaxCubes cubes fails with cubes.ErrCubeLimit); with 0 < eps < 1 it is the
 // same (1−ε)-volume region Query searches, so the enumeration carries the
 // usual approximate-covering guarantee: everything reported genuinely
 // dominates, points in the skipped corner may be missed.
@@ -56,14 +57,15 @@ func (x *Index) VisitDominating(q []uint32, eps float64, visit func(id uint64) b
 	}
 
 	if eps == 0 {
-		partition, err := cubes.Decompose(target.Rect(), x.cfg.Bits)
+		var dc cubes.Decomposer
+		partition, err := dc.Decompose(target.Rect(), x.cfg.Bits, x.cfg.MaxCubes)
 		if err != nil {
 			return stats, err
 		}
 		stats.CubesGenerated = len(partition)
 		stats.VolumeFraction = 1
 		stats.SearchedLen = append([]uint64(nil), region.Len...)
-		for _, r := range cubes.Runs(x.curve, partition) {
+		for _, r := range dc.Runs(x.curve, partition) {
 			if stopped {
 				break
 			}

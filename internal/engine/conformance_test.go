@@ -10,21 +10,18 @@ import (
 )
 
 // TestEngineProviderConformance runs the shared core.Provider battery
-// over both partition plans: through the Provider seam an engine must be
+// over both plans — the SFC strategy's routed plan and the linear
+// strategy's fan-out plan: through the Provider seam an engine must be
 // indistinguishable from the reference Detector.
 func TestEngineProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
-	for _, part := range []engine.Partition{engine.PartitionHash, engine.PartitionPrefix} {
-		t.Run(string(part), func(t *testing.T) {
+	for _, strategy := range []core.Strategy{core.StrategySFC, core.StrategyLinear} {
+		t.Run(string(strategy), func(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-				// Default (SFC) strategy: PartitionPrefix then exercises
-				// the routed shared-decomposition plan through the
-				// battery, PartitionHash the fan-out plan.
 				return engine.MustNew(engine.Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeExact},
-					Shards:    4,
-					Partition: part,
-					Workers:   4,
+					Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: strategy},
+					Shards:   4,
+					Workers:  4,
 				})
 			})
 		})
@@ -32,7 +29,7 @@ func TestEngineProviderConformance(t *testing.T) {
 }
 
 // TestEngineConformanceMidRebalance runs the same battery against a
-// prefix engine whose slice boundaries are being moved the whole time: a
+// routed engine whose slice boundaries are being moved the whole time: a
 // background goroutine hammers Rebalance (and the engine's own trigger is
 // armed at the lowest legal threshold) while every behavioral assertion
 // runs. Provider semantics must be indistinguishable from the quiescent
@@ -43,7 +40,6 @@ func TestEngineConformanceMidRebalance(t *testing.T) {
 		e := engine.MustNew(engine.Config{
 			Detector:           core.Config{Schema: schema, Mode: core.ModeExact},
 			Shards:             4,
-			Partition:          engine.PartitionPrefix,
 			Workers:            4,
 			RebalanceThreshold: 1.01,
 			RebalanceInterval:  time.Millisecond,

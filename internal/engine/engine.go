@@ -1,23 +1,22 @@
 // Package engine scales covering detection past a single Detector by
 // partitioning the subscription set across N shards and serving batched
-// operations from a fixed worker pool. Two partitioning strategies select
-// two different execution plans:
+// operations from a fixed worker pool. The detector's strategy picks the
+// execution plan:
 //
-//   - PartitionHash spreads subscriptions uniformly (FNV-1a over the
-//     transformed point) across N independent core.Detector shards. A
-//     covering query is global — a cover of s may live in any shard — so
-//     each query fans out across the shards (home shard first, stopping at
-//     the first hit). Shard sizes stay balanced under any workload, and
-//     batches parallelize across the per-shard locks.
+//   - StrategySFC (the default) splits the space filling curve's key
+//     space into N contiguous slices. Because a standard cube occupies one
+//     contiguous key range, a query decomposes its region once — outside
+//     any lock — and routes each cube's range to the one or two slices it
+//     intersects: the expensive enumeration is never duplicated across
+//     shards, and the read path contends only on brief per-probe read
+//     locks. This is dominance.ShardedIndex underneath.
 //
-//   - PartitionPrefix splits the space filling curve's key space into N
-//     contiguous slices (with the SFC strategy; other strategies fall back
-//     to the fan-out plan with curve-prefix placement). Because a standard
-//     cube occupies one contiguous key range, a query decomposes its
-//     region once — outside any lock — and routes each cube's range to the
-//     one or two slices it intersects: the expensive enumeration is never
-//     duplicated across shards, and the read path contends only on brief
-//     per-probe read locks. This is dominance.ShardedIndex underneath.
+//   - StrategyLinear and StrategyKDTree, the exact baselines, have no
+//     decomposition to share. They run N independent core.Detector
+//     shards placed by a hash of the transformed point (FNV-1a), and a
+//     covering query — global, since a cover of s may live in any shard —
+//     fans out across the shards (home shard first, stopping at the first
+//     hit).
 //
 // Either way the per-shard approximation guarantee survives aggregation:
 // every shard reports only genuine covers, hence so does the engine, and
@@ -38,19 +37,14 @@ import (
 	"sfccover/internal/subscription"
 )
 
-// Partition selects how subscriptions are assigned to shards.
+// Partition is the type of the deprecated Config.Partition field.
 type Partition string
 
-const (
-	// PartitionHash assigns each subscription by a hash of its transformed
-	// point: uniform shard sizes, whole-query fan-out.
-	PartitionHash Partition = "hash"
-	// PartitionPrefix assigns each subscription by the most significant
-	// bits of its SFC key: curve-adjacent subscriptions share a shard and
-	// (with the SFC strategy) queries share one decomposition across
-	// shards, probing only the slices each cube range intersects.
-	PartitionPrefix Partition = "prefix"
-)
+// PartitionPrefix is the only non-empty value Config.Partition accepts.
+//
+// Deprecated: the detector's strategy picks the plan; the value has no
+// effect.
+const PartitionPrefix Partition = "prefix"
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -61,7 +55,9 @@ type Config struct {
 	Detector core.Config
 	// Shards is the number of partitions (default DefaultShards).
 	Shards int
-	// Partition selects the sharding strategy (default PartitionHash).
+	// Partition accepts only "" or PartitionPrefix and has no effect.
+	//
+	// Deprecated: the detector's strategy picks the plan.
 	Partition Partition
 	// Workers sizes the batch worker pool (default GOMAXPROCS).
 	Workers int
@@ -70,8 +66,8 @@ type Config struct {
 	// engine rebalances slice boundaries until skew falls to the
 	// hysteresis target 1 + (threshold-1)/2. Must exceed 1 when set;
 	// 0 disables the background trigger (manual Rebalance always works).
-	// Only the curve-prefix plan has movable boundaries; the setting is
-	// inert on hash partitions, which stay balanced by construction.
+	// Only the SFC plan has movable boundaries; the setting is inert on
+	// the hash-placed fan-out plan, which stays balanced by construction.
 	RebalanceThreshold float64
 	// RebalanceInterval is the background rebalancer's poll period
 	// (default DefaultRebalanceInterval when a threshold is set).
@@ -113,8 +109,8 @@ type Totals struct {
 	CubesGenerated int
 	// ShardSearches is the number of per-shard searches issued; the ratio
 	// ShardSearches/Queries measures fan-out (1.0 = every query resolved
-	// in its home shard; always 1.0 on the prefix+SFC plan, which shares
-	// one search across shards).
+	// in its home shard; always 1.0 on the SFC plan, which shares one
+	// search across shards).
 	ShardSearches int
 }
 
@@ -229,10 +225,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("engine: invalid shard count %d", cfg.Shards)
 	}
-	if cfg.Partition == "" {
-		cfg.Partition = PartitionHash
-	}
-	if cfg.Partition != PartitionHash && cfg.Partition != PartitionPrefix {
+	if cfg.Partition != "" && cfg.Partition != PartitionPrefix {
 		return nil, fmt.Errorf("engine: unknown partition strategy %q", cfg.Partition)
 	}
 	if cfg.Workers == 0 {
@@ -254,7 +247,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg.RebalanceMaxMoves = 2 * cfg.Shards
 	}
 	// One template detector validates the config and resolves its defaults
-	// (strategy, MaxCubes) for both plans.
+	// (strategy, MaxCubes); the resolved strategy picks the plan.
 	template, err := core.New(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -266,13 +259,13 @@ func New(cfg Config) (*Engine, error) {
 		schema: cfg.Detector.Schema,
 		tasks:  make(chan func(), cfg.Workers),
 	}
-	if cfg.Partition == PartitionPrefix && norm.Strategy == core.StrategySFC {
+	if norm.Strategy == core.StrategySFC {
 		// norm's MaxCubes uses the dominance convention (0 = unlimited).
 		e.be, err = newRouted(norm, cfg.Shards)
 	} else {
 		// The shard detectors re-normalize the raw config themselves;
 		// passing norm would re-interpret "unlimited" (0) as the default.
-		e.be, err = newFanout(cfg.Detector, cfg.Shards, cfg.Partition)
+		e.be, err = newFanout(cfg.Detector, cfg.Shards)
 	}
 	if err != nil {
 		return nil, err
@@ -348,9 +341,9 @@ func (e *Engine) rebalanceTarget() float64 {
 // are unaffected — a migration moves where entries are indexed, never
 // what a query returns — and queries keep running during the pass,
 // blocking only on the short per-pair write barriers. Engines on the
-// hash partition (or non-SFC strategies) return
-// core.ErrRebalanceUnsupported: their fan-out plan has no movable
-// boundaries (and hash placement cannot skew by key locality).
+// linear and KD-tree strategies return core.ErrRebalanceUnsupported:
+// their fan-out plan has no movable boundaries (and hash placement
+// cannot skew by key locality).
 func (e *Engine) Rebalance() (core.RebalanceResult, error) {
 	rb, ok := e.be.(rebalancer)
 	if !ok {
@@ -411,13 +404,10 @@ func (e *Engine) guarded(fn func()) error {
 func (e *Engine) NumShards() int { return e.cfg.Shards }
 
 // Config returns the engine's configuration with defaults resolved
-// (Shards, Partition, Workers; the detector template as given). Service
+// (Shards, Workers; the detector template as given). Service
 // layers use it to derive compatible side indexes — the sfcd server
 // builds its per-link namespace detectors from Config().Detector.
 func (e *Engine) Config() Config { return e.cfg }
-
-// PartitionStrategy returns the configured partition strategy.
-func (e *Engine) PartitionStrategy() Partition { return e.cfg.Partition }
 
 // Mode returns the per-shard detection mode.
 func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
@@ -796,7 +786,7 @@ func decodeID(shards int, id uint64) (shard int, local uint64) {
 	return int(id % n), id / n
 }
 
-// hashPoint is the PartitionHash placement function.
+// hashPoint is the fan-out plan's placement function.
 func hashPoint(p []uint32, n int) int {
 	h := fnv.New64a()
 	var buf [4]byte

@@ -56,11 +56,47 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// TestDefaultPlanIsRouted pins the plan selection: an engine with a zero
+// Partition and the default (SFC) strategy runs the routed plan, whose
+// slice boundaries rebalance and whose queries search once across all
+// shards.
+func TestDefaultPlanIsRouted(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	e := MustNew(Config{
+		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 5000},
+		Shards:   4,
+	})
+	defer e.Close()
+	subs := testSubs(t, schema, 200, 8)
+	for i, r := range e.AddBatch(subs) {
+		if r.Err != nil {
+			t.Fatalf("add %d: %v", i, r.Err)
+		}
+	}
+	if _, err := e.Rebalance(); err != nil {
+		t.Fatalf("Rebalance on the default plan: %v", err)
+	}
+	tot := e.Totals()
+	if tot.Queries != len(subs) || tot.ShardSearches != tot.Queries {
+		t.Fatalf("ShardSearches = %d, Queries = %d, want both %d", tot.ShardSearches, tot.Queries, len(subs))
+	}
+}
+
+// planStrategies are the strategies the plan-parametrized tests loop
+// over: the SFC strategy runs the routed plan, linear the fan-out plan.
+var planStrategies = []core.Strategy{core.StrategySFC, core.StrategyLinear}
+
+// smallSchema is a universe small enough for exhaustive (exact-mode)
+// SFC search, whose cost grows with the query region's cube count.
+func smallSchema() *subscription.Schema {
+	return subscription.MustSchema(5, "volume", "price")
+}
+
 // TestExactParity: in exact mode the engine's answer must agree with a
-// single exact detector on the existence of a cover, for every partition
-// strategy and several shard counts.
+// single linear-scan detector on the existence of a cover, on both plans
+// and several shard counts.
 func TestExactParity(t *testing.T) {
-	schema := testSchema(t)
+	schema := smallSchema()
 	stored := testSubs(t, schema, 500, 1)
 	queries := testSubs(t, schema, 300, 2)
 
@@ -71,13 +107,12 @@ func TestExactParity(t *testing.T) {
 		}
 	}
 
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
+	for _, strategy := range planStrategies {
 		for _, shards := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("%s/%d", part, shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d", strategy, shards), func(t *testing.T) {
 				e := MustNew(Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-					Shards:    shards,
-					Partition: part,
+					Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: strategy},
+					Shards:   shards,
 				})
 				defer e.Close()
 				for _, s := range stored {
@@ -127,7 +162,7 @@ func TestApproxSoundness(t *testing.T) {
 	}
 	e := MustNew(Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 20000},
-		Shards:   4, Partition: PartitionPrefix,
+		Shards:   4,
 	})
 	defer e.Close()
 
@@ -267,7 +302,7 @@ func TestCoverQueryBatchMatchesSingle(t *testing.T) {
 func TestPrefixPartitionIsStable(t *testing.T) {
 	schema := testSchema(t)
 	e := MustNew(Config{
-		Detector: core.Config{Schema: schema}, Shards: 16, Partition: PartitionPrefix,
+		Detector: core.Config{Schema: schema}, Shards: 16,
 	})
 	defer e.Close()
 	for _, s := range testSubs(t, schema, 256, 7) {
@@ -331,7 +366,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 }
 
-// TestRoutedApproxParity: the prefix+SFC plan probes the same cube
+// TestRoutedApproxParity: the routed plan probes the same cube
 // sequence as a single detector over the same point set, so its
 // found/miss outcome must match a single approximate detector exactly,
 // at every shard count.
@@ -348,7 +383,7 @@ func TestRoutedApproxParity(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 4, 16} {
-		e := MustNew(Config{Detector: cfg, Shards: shards, Partition: PartitionPrefix})
+		e := MustNew(Config{Detector: cfg, Shards: shards})
 		for _, s := range stored {
 			if _, err := e.Insert(s); err != nil {
 				t.Fatal(err)
@@ -380,13 +415,12 @@ func TestRoutedApproxParity(t *testing.T) {
 	}
 }
 
-// TestRoutedRemove exercises the id lifecycle on the prefix+SFC plan.
+// TestRoutedRemove exercises the id lifecycle on the routed plan.
 func TestRoutedRemove(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	e := MustNew(Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 5000},
-		Shards:    4,
-		Partition: PartitionPrefix,
+		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 5000},
+		Shards:   4,
 	})
 	defer e.Close()
 	subs := testSubs(t, schema, 64, 22)
@@ -429,12 +463,11 @@ func TestFindCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
-		t.Run(string(part)+"/exact", func(t *testing.T) {
+	for _, strategy := range planStrategies {
+		t.Run(string(strategy)+"/exact", func(t *testing.T) {
 			e := MustNew(Config{
-				Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-				Shards:    4,
-				Partition: part,
+				Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: strategy},
+				Shards:   4,
 			})
 			defer e.Close()
 			childIDs := make(map[uint64]bool)
@@ -458,48 +491,47 @@ func TestFindCovered(t *testing.T) {
 				}
 			}
 		})
-		t.Run(string(part)+"/approx", func(t *testing.T) {
-			e := MustNew(Config{
-				Detector: core.Config{
-					Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
-					MaxCubes: 10000, TrackCovered: true,
-				},
-				Shards:    4,
-				Partition: part,
-			})
-			defer e.Close()
-			for _, p := range pairs {
-				if _, err := e.Insert(p.Child); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hits := 0
-			for i, p := range pairs {
-				id, found, _, err := e.FindCovered(p.Parent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !found {
-					continue // approximate misses are allowed
-				}
-				hits++
-				covered, ok := e.Subscription(id)
-				if !ok {
-					t.Fatalf("pair %d: id %d does not resolve", i, id)
-				}
-				if !p.Parent.Covers(covered) {
-					t.Errorf("pair %d: claimed covered subscription is not genuine", i)
-				}
-			}
-			if hits < len(pairs)/2 {
-				t.Errorf("reverse recall too low: %d/%d", hits, len(pairs))
-			}
-		})
 	}
+	// Approximate mode needs the SFC strategy.
+	t.Run("sfc/approx", func(t *testing.T) {
+		e := MustNew(Config{
+			Detector: core.Config{
+				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
+				MaxCubes: 10000, TrackCovered: true,
+			},
+			Shards: 4,
+		})
+		defer e.Close()
+		for _, p := range pairs {
+			if _, err := e.Insert(p.Child); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits := 0
+		for i, p := range pairs {
+			id, found, _, err := e.FindCovered(p.Parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				continue // approximate misses are allowed
+			}
+			hits++
+			covered, ok := e.Subscription(id)
+			if !ok {
+				t.Fatalf("pair %d: id %d does not resolve", i, id)
+			}
+			if !p.Parent.Covers(covered) {
+				t.Errorf("pair %d: claimed covered subscription is not genuine", i)
+			}
+		}
+		if hits < len(pairs)/2 {
+			t.Errorf("reverse recall too low: %d/%d", hits, len(pairs))
+		}
+	})
 	// Approximate FindCovered without TrackCovered is an error.
 	e := MustNew(Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
-		Partition: PartitionPrefix,
+		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
 	})
 	defer e.Close()
 	if _, _, _, err := e.FindCovered(pairs[0].Parent); err == nil {
@@ -512,7 +544,7 @@ func TestFindCovered(t *testing.T) {
 // no query in a cold batch observes a batch-mate (all uncovered), and a
 // second batch of planted children sees the first batch's parents.
 func TestAddBatchBulkLoad(t *testing.T) {
-	schema := subscription.MustSchema(10, "volume", "price")
+	schema := smallSchema()
 	pairs, err := workload.Covers(workload.CoverSpec{
 		Schema: schema, N: 300, SlackFrac: 0.2, Seed: 31,
 	})
@@ -525,12 +557,11 @@ func TestAddBatchBulkLoad(t *testing.T) {
 		parents[i] = p.Parent
 		children[i] = p.Child
 	}
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
-		t.Run(string(part), func(t *testing.T) {
+	for _, strategy := range planStrategies {
+		t.Run(string(strategy), func(t *testing.T) {
 			e := MustNew(Config{
-				Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-				Shards:    4,
-				Partition: part,
+				Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: strategy},
+				Shards:   4,
 			})
 			defer e.Close()
 			first := e.AddBatch(parents)
@@ -599,8 +630,7 @@ func TestAddBatchBulkLoadMirror(t *testing.T) {
 			Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
 			MaxCubes: 10000, TrackCovered: true,
 		},
-		Shards:    4,
-		Partition: PartitionPrefix,
+		Shards: 4,
 	})
 	defer e.Close()
 	children := make([]*subscription.Subscription, len(pairs))

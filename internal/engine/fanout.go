@@ -5,21 +5,18 @@ import (
 	"time"
 
 	"sfccover/internal/core"
-	"sfccover/internal/dominance"
 	"sfccover/internal/obs"
-	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
 // fanout is the independent-shards plan: N complete core.Detectors, each
 // owning a slice of the subscription set. Updates touch one shard; a
 // covering query fans out across the shards — home shard first, stopping
-// at the first hit — because a cover can live anywhere. Used for
-// PartitionHash, and for PartitionPrefix under the non-SFC strategies
-// (where there is no shared decomposition to exploit).
+// at the first hit — because a cover can live anywhere. Used by the
+// linear and KD-tree strategies, which have no shared decomposition to
+// exploit; hashPoint places subscriptions.
 type fanout struct {
-	dets  []*core.Detector
-	place func(p []uint32) int
+	dets []*core.Detector
 	// shardHist, when an observer is attached, times the per-shard
 	// searches of traced queries; riding the trace sample keeps the
 	// untraced hot path free of clock reads.
@@ -37,7 +34,7 @@ func (f *fanout) setObserver(o *obs.Observer) {
 }
 
 // newFanout builds the plan from the validated detector template.
-func newFanout(det core.Config, shards int, part Partition) (*fanout, error) {
+func newFanout(det core.Config, shards int) (*fanout, error) {
 	f := &fanout{dets: make([]*core.Detector, shards)}
 	for i := range f.dets {
 		sc := det
@@ -50,31 +47,10 @@ func newFanout(det core.Config, shards int, part Partition) (*fanout, error) {
 		}
 		f.dets[i] = d
 	}
-	if part == PartitionPrefix {
-		name := det.Curve
-		if name == "" {
-			name = "z"
-		}
-		schema := det.Schema
-		curve, err := sfc.New(name, sfc.Config{Dims: schema.Dims(), Bits: schema.Bits()})
-		if err != nil {
-			return nil, fmt.Errorf("engine: partition curve: %w", err)
-		}
-		// The placement prefix mirrors the sharded index's initial layout,
-		// derived from the schema's key width rather than hard-coded.
-		keyLen := schema.Dims() * schema.Bits()
-		prefixBits := dominance.PrefixBits(keyLen)
-		f.place = func(p []uint32) int {
-			top, _ := curve.Key(p).ShrN(keyLen - prefixBits).Uint64()
-			return int(top * uint64(shards) >> uint(prefixBits))
-		}
-	} else {
-		f.place = func(p []uint32) int { return hashPoint(p, shards) }
-	}
 	return f, nil
 }
 
-func (f *fanout) shardFor(p []uint32) int { return f.place(p) }
+func (f *fanout) shardFor(p []uint32) int { return hashPoint(p, len(f.dets)) }
 
 // cacheStats sums the decomposition-cache counters across the shard
 // detectors.
@@ -104,7 +80,7 @@ func (f *fanout) shardSizes() []int {
 }
 
 func (f *fanout) insert(s *subscription.Subscription) (uint64, error) {
-	shard := f.place(s.Point())
+	shard := f.shardFor(s.Point())
 	local, err := f.dets[shard].Insert(s)
 	if err != nil {
 		return 0, err
@@ -121,7 +97,7 @@ func (f *fanout) insertBatch(subs []*subscription.Subscription, par func(n int, 
 	errs := make([]error, len(subs))
 	groups := make([][]int, len(f.dets))
 	for i, s := range subs {
-		shard := f.place(s.Point())
+		shard := f.shardFor(s.Point())
 		groups[shard] = append(groups[shard], i)
 	}
 	active := make([]int, 0, len(groups))
@@ -163,7 +139,7 @@ func (f *fanout) subscription(id uint64) (*subscription.Subscription, bool) {
 // at the first hit. With a trace attached, the aggregate shard-search
 // time lands in one "shard_search" stage (Count = shards probed).
 func (f *fanout) findCover(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int) {
-	home := f.place(s.Point())
+	home := f.shardFor(s.Point())
 	var res QueryResult
 	probed := 0
 	var spent time.Duration

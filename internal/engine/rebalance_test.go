@@ -42,7 +42,6 @@ func hotspotSubs(t testing.TB, schema *subscription.Schema, n int, seed int64) [
 func prefixEngine(t testing.TB, schema *subscription.Schema, cfg Config) *Engine {
 	t.Helper()
 	cfg.Detector.Schema = schema
-	cfg.Partition = PartitionPrefix
 	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
@@ -196,13 +195,14 @@ func TestRebalanceRemovalAfterMigration(t *testing.T) {
 	}
 }
 
-// TestRebalanceUnsupported: hash partitions have no movable boundaries.
+// TestRebalanceUnsupported: the linear strategy's fan-out plan has no
+// movable boundaries.
 func TestRebalanceUnsupported(t *testing.T) {
 	schema := testSchema(t)
-	e := MustNew(Config{Detector: core.Config{Schema: schema}, Shards: 4, Partition: PartitionHash, Workers: 2})
+	e := MustNew(Config{Detector: core.Config{Schema: schema, Strategy: core.StrategyLinear}, Shards: 4, Workers: 2})
 	defer e.Close()
 	if _, err := e.Rebalance(); !errors.Is(err, core.ErrRebalanceUnsupported) {
-		t.Fatalf("Rebalance on hash partition = %v, want ErrRebalanceUnsupported", err)
+		t.Fatalf("Rebalance on a linear engine = %v, want ErrRebalanceUnsupported", err)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"sfccover/internal/subscription"
 )
 
-// routed is the shared-decomposition plan for PartitionPrefix + the SFC
-// strategy: one logical index whose SFC arrays are partitioned by key
-// range (dominance.ShardedIndex), plus a co-partitioned subscription
-// store. A query decomposes once, outside any lock, and each cube probe
-// takes only the brief read lock of the key slice it lands in — the
-// "mostly lock-free" read path. Updates lock one store stripe and one
+// routed is the shared-decomposition plan of the SFC strategy: one
+// logical index whose SFC arrays are partitioned by key range
+// (dominance.ShardedIndex), plus a co-partitioned subscription store. A
+// query decomposes once, outside any lock, and each cube probe takes
+// only the brief read lock of the key slice it lands in — the "mostly
+// lock-free" read path. Updates lock one store stripe and one
 // index slice.
 type routed struct {
 	mode     core.Mode

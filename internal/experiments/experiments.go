@@ -90,7 +90,7 @@ func All() []Experiment {
 		},
 		{
 			ID:    "E11",
-			Title: "Ablation: curve choice (Z vs Hilbert vs Gray vs Onion)",
+			Title: "Ablation: curve choice (Z vs Hilbert vs Gray)",
 			Paper: "Z and Hilbert perform within a constant fraction of each other [MJFS01]",
 			Run:   runE11,
 		},

@@ -395,7 +395,6 @@ func runE11(w io.Writer, quick bool) error {
 		"z":       sfc.MustZ(2, k2),
 		"hilbert": sfc.MustHilbert(2, k2),
 		"gray":    sfc.MustGray(2, k2),
-		"onion":   sfc.MustOnion(2, k2),
 	}
 	runSums := map[string]float64{}
 	var cubeSum float64
@@ -414,43 +413,11 @@ func runE11(w io.Writer, quick bool) error {
 		}
 	}
 	tb := stats.NewTable("curve", "mean exhaustive runs (d=2)", "runs/cubes", "vs hilbert")
-	for _, name := range []string{"hilbert", "gray", "z", "onion"} {
+	for _, name := range []string{"hilbert", "gray", "z"} {
 		tb.AddRow(name, runSums[name]/float64(trials),
 			runSums[name]/cubeSum, runSums[name]/runSums["hilbert"])
 	}
 	fmt.Fprintf(w, "run-merging quality over %d random extremal regions (cubes are curve-independent):\n%s\n", trials, tb)
-	fmt.Fprintln(w, "note: at d=2 shell order coincides with Z digit order, so onion == z; they diverge at d>=3")
-
-	// Part 1b: d=3, where the onion reordering actually differs from Z.
-	const k3 = 7
-	curves3 := map[string]sfc.Curve{
-		"z":       sfc.MustZ(3, k3),
-		"hilbert": sfc.MustHilbert(3, k3),
-		"gray":    sfc.MustGray(3, k3),
-		"onion":   sfc.MustOnion(3, k3),
-	}
-	runSums3 := map[string]float64{}
-	var cubeSum3 float64
-	for t := 0; t < trials; t++ {
-		ext, err := workload.RandomExtremal(rng, 3, k3, 1+rng.Intn(2))
-		if err != nil {
-			return err
-		}
-		part, err := cubes.Decompose(ext.Rect(), k3)
-		if err != nil {
-			return err
-		}
-		cubeSum3 += float64(len(part))
-		for name, c := range curves3 {
-			runSums3[name] += float64(len(cubes.Runs(c, part)))
-		}
-	}
-	tb3 := stats.NewTable("curve", "mean exhaustive runs (d=3)", "runs/cubes", "vs hilbert")
-	for _, name := range []string{"hilbert", "gray", "z", "onion"} {
-		tb3.AddRow(name, runSums3[name]/float64(trials),
-			runSums3[name]/cubeSum3, runSums3[name]/runSums3["hilbert"])
-	}
-	fmt.Fprintf(w, "\nrun-merging quality over %d random extremal regions at d=3:\n%s\n", trials, tb3)
 
 	// Part 2: probe cost — same cube enumeration, different key encodings.
 	const d, k = 4, 14
@@ -469,7 +436,7 @@ func runE11(w io.Writer, quick bool) error {
 		qs[i] = q
 	}
 	tb2 := stats.NewTable("curve", "probes/query", "us/query (empty index)", "ns/probe")
-	for _, curve := range []string{"z", "hilbert", "gray", "onion"} {
+	for _, curve := range []string{"z", "hilbert", "gray"} {
 		idx := dominance.MustIndex(dominance.Config{Dims: d, Bits: k, Curve: curve})
 		var probes int
 		start := time.Now()
@@ -488,9 +455,7 @@ func runE11(w io.Writer, quick bool) error {
 	}
 	fmt.Fprintln(w, tb2)
 	fmt.Fprintln(w, "paper: Z and Hilbert (and Gray) behave within constant factors of each other [MJFS01];")
-	fmt.Fprintln(w, "       Hilbert merges runs best but costs more per key; Z is the cheapest to encode;")
-	fmt.Fprintln(w, "       the recursive onion approximation merges barely better than Z on extremal regions")
-	fmt.Fprintln(w, "       yet pays the most per key — Hilbert remains the merge-quality choice")
+	fmt.Fprintln(w, "       Hilbert merges runs best but costs more per key; Z is the cheapest to encode")
 	return nil
 }
 

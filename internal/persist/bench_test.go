@@ -92,9 +92,8 @@ func benchRecover(b *testing.B, snapshotted, churn bool) {
 					b.Fatal(err)
 				}
 				eng := engine.MustNew(engine.Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeOff},
-					Shards:    8,
-					Partition: engine.PartitionPrefix,
+					Detector: core.Config{Schema: schema, Mode: core.ModeOff},
+					Shards:   8,
 				})
 				d, err := st.Durable("", eng)
 				if err != nil {
@@ -144,9 +143,8 @@ func BenchmarkDurableAddBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				eng := engine.MustNew(engine.Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeOff},
-					Shards:    8,
-					Partition: engine.PartitionPrefix,
+					Detector: core.Config{Schema: schema, Mode: core.ModeOff},
+					Shards:   8,
 				})
 				var p core.Provider = eng
 				var st *persist.Store

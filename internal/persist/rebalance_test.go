@@ -29,9 +29,8 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
 				MaxCubes: 5000, TrackCovered: true, Seed: 3,
 			},
-			Shards:    8,
-			Partition: engine.PartitionPrefix,
-			Workers:   4,
+			Shards:  8,
+			Workers: 4,
 		})
 	}
 	subs, err := workload.Subscriptions(workload.SubSpec{

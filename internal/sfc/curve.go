@@ -19,7 +19,7 @@ import (
 // every standard cube occupies one contiguous, block-aligned key range
 // (Fact 2.1), which CubeRange exploits.
 type Curve interface {
-	// Name identifies the curve ("z", "hilbert", "gray", "onion").
+	// Name identifies the curve ("z", "hilbert", "gray").
 	Name() string
 	// Dims returns d, the number of dimensions.
 	Dims() int
@@ -52,7 +52,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New constructs a curve by name: "z", "hilbert", "gray" or "onion".
+// New constructs a curve by name: "z", "hilbert" or "gray".
 func New(name string, cfg Config) (Curve, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -64,15 +64,13 @@ func New(name string, cfg Config) (Curve, error) {
 		return NewHilbert(cfg)
 	case "gray":
 		return NewGray(cfg)
-	case "onion":
-		return NewOnion(cfg)
 	default:
 		return nil, fmt.Errorf("sfc: unknown curve %q", name)
 	}
 }
 
 // Names lists the curve families New accepts, in their canonical order.
-func Names() []string { return []string{"z", "hilbert", "gray", "onion"} }
+func Names() []string { return []string{"z", "hilbert", "gray"} }
 
 // KeyRange is a closed interval [Lo, Hi] of curve keys. A run in the
 // paper's terminology is a maximal KeyRange whose cells all belong to the

@@ -11,11 +11,8 @@ import (
 func allCurves(t *testing.T, d, k int) []Curve {
 	t.Helper()
 	cfg := Config{Dims: d, Bits: k}
-	out := make([]Curve, 0, 4)
+	out := make([]Curve, 0, 3)
 	for _, name := range Names() {
-		if name == "onion" && d > OnionMaxDims {
-			continue
-		}
 		c, err := New(name, cfg)
 		if err != nil {
 			t.Fatalf("New(%q,%v): %v", name, cfg, err)
@@ -294,5 +291,26 @@ func TestCurveNames(t *testing.T) {
 	}
 	if MustZ(2, 2).Name() != "z" || MustHilbert(2, 2).Name() != "hilbert" || MustGray(2, 2).Name() != "gray" {
 		t.Error("curve names wrong")
+	}
+}
+
+func TestMergeRangesInPlaceMatchesMergeRanges(t *testing.T) {
+	c := MustZ(2, 4)
+	var ranges []KeyRange
+	for x := uint32(0); x < 16; x += 2 {
+		for y := uint32(0); y < 16; y += 4 {
+			ranges = append(ranges, CubeRange(c, []uint32{x, y}, 1))
+		}
+	}
+	want := MergeRanges(ranges)
+	scratch := append([]KeyRange(nil), ranges...)
+	got := MergeRangesInPlace(scratch)
+	if len(got) != len(want) {
+		t.Fatalf("run count mismatch: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("run %d mismatch: %v vs %v", i, got[i], want[i])
+		}
 	}
 }

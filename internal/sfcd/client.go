@@ -191,9 +191,8 @@ type Client struct {
 	failovers  obs.Counter
 
 	// Hello-negotiated server facts (connMu: refreshed on reconnect).
-	shards    int
-	partition string
-	mode      string
+	shards int
+	mode   string
 }
 
 // Dial connects to an sfcd server with default configuration and verifies
@@ -302,7 +301,7 @@ func (c *Client) dialOne(ctx context.Context, addr string) (*clientConn, error) 
 		return nil, ErrNotPrimary
 	}
 	c.connMu.Lock()
-	c.shards, c.partition, c.mode = resp.Shards, resp.Partition, resp.Mode
+	c.shards, c.mode = resp.Shards, resp.Mode
 	c.connMu.Unlock()
 	return cc, nil
 }
@@ -426,13 +425,6 @@ func (c *Client) Shards() int {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.shards
-}
-
-// Partition reports the server's partition strategy.
-func (c *Client) Partition() string {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.partition
 }
 
 // Mode reports the server's detection mode.
@@ -966,7 +958,7 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 // Rebalance runs one bounded slice-rebalance pass on the daemon's shared
 // engine and reports the boundary moves, migrated entries and
 // before/after occupancy skew. Daemons whose engine has no movable
-// boundaries (hash partition, non-SFC strategies) answer with a
+// boundaries (the linear and KD-tree strategies) answer with a
 // *ServerError carrying CodeUnsupported.
 func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
 	resp, err := c.do(ctx, &Request{Op: OpRebalance})

@@ -60,7 +60,7 @@ func goldenCases(tb testing.TB) []goldenCase {
 	return []goldenCase{
 		{"ping", Request{ID: 1, Op: OpPing}, Response{ID: 1, Op: OpPing, OK: true}},
 		{"hello", Request{ID: 1, Op: OpHello}, Response{ID: 1, Op: OpHello, OK: true,
-			Bits: 10, Attrs: []string{"volume", "price"}, Shards: 4, Partition: "prefix", Mode: "approx", Role: RolePrimary}},
+			Bits: 10, Attrs: []string{"volume", "price"}, Shards: 4, Mode: "approx", Role: RolePrimary}},
 		{"subscribe", Request{ID: 2, Op: OpSubscribe, Link: "b0-n1", Payload: p1},
 			Response{ID: 2, Op: OpSubscribe, OK: true, Result: res(Result{SID: 41, Covered: true, CoveredBy: 17})}},
 		{"subscribe_batch", Request{ID: 3, Op: OpSubscribeBatch, Payloads: [][]byte{p1, p2}},

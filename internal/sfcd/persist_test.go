@@ -31,10 +31,9 @@ type daemon struct {
 func startDaemon(t *testing.T, schema *subscription.Schema, dir string) *daemon {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
-		Shards:    4,
-		Partition: engine.PartitionPrefix,
-		Workers:   2,
+		Detector: core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
+		Shards:   4,
+		Workers:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@
 // dir answer with code "unsupported".
 //
 // "rebalance" runs one bounded slice-rebalance pass on the addressed
-// provider (engine curve-prefix plans only; other configurations answer
+// provider (SFC-strategy engines only; other configurations answer
 // with code "unsupported") and reports the boundary moves, migrated
 // entries and before/after occupancy skew.
 //
@@ -219,8 +219,8 @@ const (
 	// schema trouble, mode restrictions).
 	CodeOpFailed = "op_failed"
 	// CodeUnsupported marks an operation the addressed provider has no
-	// capability for (rebalance on a non-prefix or detector-backed
-	// namespace).
+	// capability for (rebalance on a linear or KD-tree engine, or on a
+	// detector-backed namespace).
 	CodeUnsupported = "unsupported"
 	// CodeNotPrimary marks an operation refused because the daemon is a
 	// read-only follower still draining a primary's replication stream;
@@ -251,11 +251,10 @@ type Response struct {
 	Code  string `json:"-"`
 
 	// hello fields.
-	Bits      int      `json:"bits,omitempty"`
-	Attrs     []string `json:"attrs,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
-	Partition string   `json:"partition,omitempty"`
-	Mode      string   `json:"mode,omitempty"`
+	Bits   int      `json:"bits,omitempty"`
+	Attrs  []string `json:"attrs,omitempty"`
+	Shards int      `json:"shards,omitempty"`
+	Mode   string   `json:"mode,omitempty"`
 	// Role reports "primary" or "follower" in hello (and promote)
 	// responses. Empty on daemons predating replication, which clients
 	// treat as primary.

@@ -17,10 +17,9 @@ import (
 func startPrefixServer(t *testing.T, schema *subscription.Schema) string {
 	t.Helper()
 	eng := engine.MustNew(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeOff},
-		Shards:    8,
-		Partition: engine.PartitionPrefix,
-		Workers:   4,
+		Detector: core.Config{Schema: schema, Mode: core.ModeOff},
+		Shards:   8,
+		Workers:  4,
 	})
 	srv := NewServer(eng)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -113,12 +112,12 @@ func TestRebalanceOp(t *testing.T) {
 	}
 }
 
-// TestRebalanceOpUnsupported: a hash-partition daemon has no movable
+// TestRebalanceOpUnsupported: a linear-strategy daemon has no movable
 // boundaries; the op must answer with the unsupported code, and the
 // remote provider must translate it to core.ErrRebalanceUnsupported.
 func TestRebalanceOpUnsupported(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
-	_, addr := startServer(t, schema, core.ModeExact) // PartitionHash underneath
+	_, addr := startServer(t, schema, core.ModeExact) // linear strategy: the fan-out plan
 	c, err := Dial(addr, schema)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestRebalanceOpUnsupported(t *testing.T) {
 	_, err = c.Rebalance(bg)
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != CodeUnsupported {
-		t.Fatalf("Rebalance on hash daemon = %v, want ServerError[%s]", err, CodeUnsupported)
+		t.Fatalf("Rebalance on linear daemon = %v, want ServerError[%s]", err, CodeUnsupported)
 	}
 	rp, err := c.Provider("")
 	if err != nil {

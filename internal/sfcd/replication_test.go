@@ -33,10 +33,9 @@ type follower struct {
 func startFollower(t *testing.T, schema *subscription.Schema, dir, primaryAddr string) *follower {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
-		Shards:    4,
-		Partition: engine.PartitionPrefix,
-		Workers:   2,
+		Detector: core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
+		Shards:   4,
+		Workers:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -688,13 +688,12 @@ func (s *Server) serve(req Request) *Response {
 		return &Response{OK: true}
 	case OpHello:
 		return &Response{
-			OK:        true,
-			Bits:      s.schema.Bits(),
-			Attrs:     s.schema.Attrs(),
-			Shards:    s.eng.NumShards(),
-			Partition: string(s.eng.PartitionStrategy()),
-			Mode:      s.eng.Mode().String(),
-			Role:      s.Role(),
+			OK:     true,
+			Bits:   s.schema.Bits(),
+			Attrs:  s.schema.Attrs(),
+			Shards: s.eng.NumShards(),
+			Mode:   s.eng.Mode().String(),
+			Role:   s.Role(),
 		}
 	case OpPromote:
 		if s.store == nil {

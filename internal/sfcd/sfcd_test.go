@@ -43,6 +43,43 @@ func startServer(t *testing.T, schema *subscription.Schema, mode core.Mode) (*Se
 	return srv, addr.String()
 }
 
+// TestExactQueryOverCubeCapFails: on an exact-mode SFC daemon, a query
+// whose region needs more cubes than -maxcubes allows is answered with an
+// op_failed error frame after bounded work, and the connection keeps
+// serving.
+func TestExactQueryOverCubeCapFails(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	eng := engine.MustNew(engine.Config{
+		Detector: core.Config{Schema: schema, Mode: core.ModeExact, MaxCubes: 4096},
+		Shards:   4,
+		Workers:  2,
+	})
+	srv := NewServer(eng)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+	})
+	c, err := Dial(addr.String(), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	q := subscription.MustParse(schema, "volume in [100,900] && price in [10,400]")
+	_, _, err = c.Query(bg, q)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeOpFailed || !strings.Contains(se.Error(), "cube limit") {
+		t.Fatalf("Query over the cube cap = %v, want a %s error naming the cube limit", err, CodeOpFailed)
+	}
+	if err := c.Ping(bg); err != nil {
+		t.Fatalf("Ping after the refused query: %v", err)
+	}
+}
+
 func TestEndToEnd(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact)

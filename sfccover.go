@@ -21,8 +21,10 @@
 //   - Detector: covering detection over a dynamic subscription set
 //     (off / exact / ε-approximate; SFC, linear-scan or k-d tree backends).
 //   - Engine: a sharded, concurrent detection engine that partitions the
-//     subscription set across N detectors (hash or curve-prefix
-//     partitioning) and serves batched operations from a worker pool.
+//     subscription set across N shards (curve-prefix slices sharing one
+//     decomposition per query on the SFC strategy, hash-placed detectors
+//     on the exact baselines) and serves batched operations from a
+//     worker pool.
 //   - DaemonServer / DaemonClient / DaemonProvider: the sfcd network
 //     protocol (length-prefixed binary frames over TCP)
 //     that turns an Engine into a standalone service. The client is
@@ -106,6 +108,10 @@ type Detector = core.Detector
 // DetectorConfig parameterizes a Detector.
 type DetectorConfig = core.Config
 
+// ErrCubeLimit fails an exact-mode SFC query whose region needs more
+// standard cubes than DetectorConfig.MaxCubes allows.
+var ErrCubeLimit = core.ErrCubeLimit
+
 // Mode selects the covering-detection mode.
 type Mode = core.Mode
 
@@ -140,29 +146,17 @@ type QueryStats = dominance.Stats
 // DetectorTotals aggregates query counters over a detector's lifetime.
 type DetectorTotals = core.Totals
 
-// Engine is a sharded, concurrent covering-detection engine: N
-// independently locked Detector shards behind batched Add/Remove/Query
-// operations served by a worker pool. A reported cover is always genuine,
-// exactly as for a single Detector.
+// Engine is a sharded, concurrent covering-detection engine behind
+// batched Add/Remove/Query operations served by a worker pool. The SFC
+// strategy splits the curve's key space into shards that share one
+// decomposition per query; the exact linear and KD-tree baselines fan
+// each query out over hash-placed Detector shards. A reported cover is
+// always genuine, exactly as for a single Detector.
 type Engine = engine.Engine
 
 // EngineConfig parameterizes an Engine: the per-shard detector template
-// plus shard count, partition strategy and worker pool size.
+// (whose strategy picks the plan) plus shard count and worker pool size.
 type EngineConfig = engine.Config
-
-// EnginePartition selects how subscriptions are assigned to shards.
-type EnginePartition = engine.Partition
-
-// Engine partition strategies.
-const (
-	// PartitionHash spreads subscriptions uniformly by hashing their
-	// transformed points.
-	PartitionHash = engine.PartitionHash
-	// PartitionPrefix splits the space-filling curve's key space by its
-	// most significant bits, keeping curve-adjacent subscriptions — the
-	// likely covers — in the same shard.
-	PartitionPrefix = engine.PartitionPrefix
-)
 
 // EngineTotals aggregates engine-level counters (logical queries, hits,
 // probe costs and shard fan-out).
@@ -336,11 +330,8 @@ type NetworkBackend = broker.Backend
 const (
 	// NetworkBackendDetector backs each link with a single Detector.
 	NetworkBackendDetector = broker.BackendDetector
-	// NetworkBackendEngineHash backs each link with a hash-sharded engine.
-	NetworkBackendEngineHash = broker.BackendEngineHash
-	// NetworkBackendEnginePrefix backs each link with a curve-prefix
-	// sharded engine.
-	NetworkBackendEnginePrefix = broker.BackendEnginePrefix
+	// NetworkBackendEngine backs each link with a sharded Engine.
+	NetworkBackendEngine = broker.BackendEngine
 	// NetworkBackendRemote backs every link with an isolated namespace on
 	// one shared sfcd daemon (NetworkConfig.DaemonAddr), multiplexed over
 	// a single pipelined connection.
