@@ -27,43 +27,38 @@ func initSpreadTables() {
 	}
 }
 
-// orShifted ORs the low bits of v into the key starting at bit position
-// shift (counted from the least significant bit).
-func (k *Key) orShifted(v uint64, shift int) {
-	if v == 0 {
-		return
-	}
-	word := KeyWords - 1 - shift/64
-	off := uint(shift % 64)
-	k.w[word] |= v << off
-	if off != 0 && word > 0 {
-		if hi := v >> (64 - off); hi != 0 {
-			k.w[word-1] |= hi
-		}
-	}
-}
-
 // interleaveFast is the lookup-table implementation of Interleave for
 // dimensions up to maxSpreadDim. Bit i of coordinate j lands at key bit
-// i*d + (d-1-j); processing coordinates a byte at a time, the byte covering
-// bits [8t, 8t+8) contributes spread(b) << (8t*d + (d-1-j)).
+// i*d + (d-1-j), so byte t of every coordinate together fills the 8d-bit
+// chunk of the key starting at bit 8t*d: spread(b_j) << (d-1-j) for each
+// coordinate j. Chunks are laid down from the least significant end into a
+// register; each output word is stored once, when it fills.
 func interleaveFast(coords []uint32, k int) Key {
 	spreadOnce.Do(initSpreadTables)
 	d := len(coords)
 	table := &spreadTables[d]
-	nBytes := (k + 7) / 8
+	mask := uint32(1)<<uint(k) - 1 // ignore bits beyond the universe; all ones at k = 32
+	chunk := uint(8 * d)           // <= 64 because d <= maxSpreadDim
 	var key Key
-	for j, x := range coords {
-		if k < 32 {
-			x &= 1<<uint(k) - 1 // ignore bits beyond the universe
+	var acc uint64 // the output word being filled
+	off := uint(0) // bits of acc already filled
+	word := KeyWords - 1
+	for t := uint(0); t < uint(k+7)/8; t++ {
+		var v uint64
+		for j, x := range coords {
+			v |= table[byte((x&mask)>>(8*t))] << uint(d-1-j)
 		}
-		base := d - 1 - j
-		for t := 0; t < nBytes; t++ {
-			b := byte(x >> uint(8*t))
-			if b != 0 {
-				key.orShifted(table[b], 8*t*d+base)
-			}
+		acc |= v << off
+		off += chunk
+		if off >= 64 {
+			key.w[word] = acc
+			word--
+			off -= 64
+			acc = v >> (chunk - off) // the part of v that did not fit; 0 when none
 		}
+	}
+	if off > 0 {
+		key.w[word] = acc
 	}
 	return key
 }

@@ -49,19 +49,6 @@ func TestFastInterleaveMasksOutOfRangeBits(t *testing.T) {
 	}
 }
 
-func TestOrShiftedAcrossWordBoundary(t *testing.T) {
-	var k Key
-	k.orShifted(0xFF, 60) // straddles words KeyWords-1 / KeyWords-2
-	for pos := 60; pos < 68; pos++ {
-		if k.Bit(pos) != 1 {
-			t.Fatalf("bit %d not set", pos)
-		}
-	}
-	if k.Bit(59) != 0 || k.Bit(68) != 0 {
-		t.Fatal("neighbouring bits disturbed")
-	}
-}
-
 func BenchmarkInterleaveFastD4K16(b *testing.B) {
 	coords := []uint32{0xABCD, 0x1234, 0xF0F0, 0x5555}
 	b.ReportAllocs()

@@ -5,6 +5,12 @@
 // dimension is a d*k-bit integer. The package supports keys up to KeyBits
 // bits, stored most-significant-word first, so ordinary word-wise comparison
 // yields numeric order.
+//
+// KeyBits is 256 because that is the widest key the system can produce: a
+// subscription schema has at most 8 attributes of at most 16 bits, and each
+// attribute is two dimensions of the covering index, so d*k <= 2*8*16. A
+// key costs four words to copy, compare and store; the hot operations
+// (Cmp, ClearLow, SetLow, Interleave) touch each word once.
 package bits
 
 import (
@@ -14,7 +20,7 @@ import (
 
 const (
 	// KeyWords is the number of 64-bit words in a Key.
-	KeyWords = 8
+	KeyWords = 4
 	// KeyBits is the maximum key width supported (d*k must not exceed it).
 	KeyBits = KeyWords * 64
 )
@@ -44,13 +50,14 @@ func (k Key) Uint64() (v uint64, ok bool) {
 	return k.w[KeyWords-1], true
 }
 
-// Cmp compares two keys numerically, returning -1, 0 or +1.
+// Cmp compares two keys numerically, returning -1, 0 or +1. Equal words
+// cost one test each; only the first differing word is ordered.
 func (k Key) Cmp(o Key) int {
 	for i := 0; i < KeyWords; i++ {
-		switch {
-		case k.w[i] < o.w[i]:
-			return -1
-		case k.w[i] > o.w[i]:
+		if k.w[i] != o.w[i] {
+			if k.w[i] < o.w[i] {
+				return -1
+			}
 			return 1
 		}
 	}
@@ -159,28 +166,44 @@ func (k Key) Shr1() Key {
 }
 
 // LowMask returns a key with the low n bits set and all others clear.
-func LowMask(n int) Key {
-	if n < 0 || n > KeyBits {
-		panic(fmt.Sprintf("bits: LowMask width %d out of range [0,%d]", n, KeyBits))
+func LowMask(n int) Key { return Key{}.SetLow(n) }
+
+// ClearLow returns k with the low n bits cleared. Only the words the low n
+// bits reach are written.
+func (k Key) ClearLow(n int) Key {
+	checkWidth(n)
+	i := KeyWords - 1
+	for ; n >= 64; n -= 64 {
+		k.w[i] = 0
+		i--
 	}
-	var k Key
-	for i := KeyWords - 1; i >= 0 && n > 0; i-- {
-		if n >= 64 {
-			k.w[i] = ^uint64(0)
-			n -= 64
-		} else {
-			k.w[i] = 1<<uint(n) - 1
-			n = 0
-		}
+	if n > 0 {
+		k.w[i] &^= 1<<uint(n) - 1
 	}
 	return k
 }
 
-// ClearLow returns k with the low n bits cleared.
-func (k Key) ClearLow(n int) Key { return k.AndNot(LowMask(n)) }
+// SetLow returns k with the low n bits set. Only the words the low n bits
+// reach are written.
+func (k Key) SetLow(n int) Key {
+	checkWidth(n)
+	i := KeyWords - 1
+	for ; n >= 64; n -= 64 {
+		k.w[i] = ^uint64(0)
+		i--
+	}
+	if n > 0 {
+		k.w[i] |= 1<<uint(n) - 1
+	}
+	return k
+}
 
-// SetLow returns k with the low n bits set.
-func (k Key) SetLow(n int) Key { return k.Or(LowMask(n)) }
+// checkWidth panics unless n is a bit count in [0, KeyBits].
+func checkWidth(n int) {
+	if uint(n) > KeyBits {
+		panic(fmt.Sprintf("bits: low-bit width %d out of range [0,%d]", n, KeyBits))
+	}
+}
 
 // Len returns the minimum number of bits needed to represent k
 // (0 for the zero key), i.e. the paper's b(x) generalized to keys.

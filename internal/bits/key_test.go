@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ func TestKeyDecOnZero(t *testing.T) {
 
 func TestSetBitGetBit(t *testing.T) {
 	var k Key
-	positions := []int{0, 1, 63, 64, 65, 127, 128, 300, 511}
+	positions := []int{0, 1, 63, 64, 65, 127, 128, 192, 255}
 	for _, p := range positions {
 		k = k.SetBit(p, 1)
 	}
@@ -216,9 +217,9 @@ func TestKeyLen(t *testing.T) {
 		t.Fatalf("Len(9) = %d, want 4", got)
 	}
 	var k Key
-	k = k.SetBit(300, 1)
-	if got := k.Len(); got != 301 {
-		t.Fatalf("Len(bit 300) = %d, want 301", got)
+	k = k.SetBit(200, 1)
+	if got := k.Len(); got != 201 {
+		t.Fatalf("Len(bit 200) = %d, want 201", got)
 	}
 }
 
@@ -303,4 +304,98 @@ func TestBitPanicsOutOfRange(t *testing.T) {
 	}()
 	var k Key
 	k.Bit(KeyBits)
+}
+
+// toBig converts a key to the math/big integer of the same value.
+func toBig(k Key) *big.Int {
+	z := new(big.Int)
+	for _, w := range k.w {
+		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(w))
+	}
+	return z
+}
+
+// randWideKey draws a key whose words are each zero, all ones or random,
+// so carries, borrows and first-differing-word cases reach every word.
+func randWideKey(rng *rand.Rand) Key {
+	var k Key
+	for i := range k.w {
+		switch rng.Intn(4) {
+		case 0:
+			k.w[i] = 0
+		case 1:
+			k.w[i] = ^uint64(0)
+		default:
+			k.w[i] = rng.Uint64()
+		}
+	}
+	return k
+}
+
+// TestKeyOpsMatchBig checks the multiword kernels against math/big on keys
+// that span all KeyWords words, with bit counts on both sides of every
+// 64-bit boundary.
+func TestKeyOpsMatchBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	modulus := new(big.Int).Lsh(big.NewInt(1), KeyBits)
+	one := big.NewInt(1)
+	var widths []int
+	for b := 0; b <= KeyBits; b += 64 {
+		for _, n := range []int{b - 1, b, b + 1} {
+			if n >= 0 && n <= KeyBits {
+				widths = append(widths, n)
+			}
+		}
+	}
+	check := func(op string, got Key, want *big.Int) {
+		t.Helper()
+		if toBig(got).Cmp(want) != 0 {
+			t.Fatalf("%s = %v, want 0x%x", op, got, want)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a := randWideKey(rng)
+		b := a
+		if trial%3 != 0 { // otherwise a == b
+			b.w[rng.Intn(KeyWords)] = rng.Uint64()
+		}
+		if trial%5 == 0 {
+			b = randWideKey(rng)
+		}
+		ba, bb := toBig(a), toBig(b)
+
+		if got, want := a.Cmp(b), ba.Cmp(bb); got != want {
+			t.Fatalf("Cmp(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got, want := a.Less(b), ba.Cmp(bb) < 0; got != want {
+			t.Fatalf("Less(%v, %v) = %v, want %v", a, b, got, want)
+		}
+
+		sum := new(big.Int).Add(ba, one)
+		inc, ok := a.Inc()
+		if wantOK := sum.Cmp(modulus) < 0; ok != wantOK {
+			t.Fatalf("Inc(%v) ok = %v, want %v", a, ok, wantOK)
+		}
+		check("Inc", inc, sum.Mod(sum, modulus))
+		dec, ok := a.Dec()
+		if wantOK := ba.Sign() > 0; ok != wantOK {
+			t.Fatalf("Dec(%v) ok = %v, want %v", a, ok, wantOK)
+		}
+		if ok {
+			check("Dec", dec, new(big.Int).Sub(ba, one))
+		}
+
+		check("Or", a.Or(b), new(big.Int).Or(ba, bb))
+		check("AndNot", a.AndNot(b), new(big.Int).AndNot(ba, bb))
+
+		n := widths[(trial/2)%len(widths)]
+		if trial%2 == 1 {
+			n = rng.Intn(KeyBits + 1)
+		}
+		low := new(big.Int).Sub(new(big.Int).Lsh(one, uint(n)), one)
+		check("ClearLow", a.ClearLow(n), new(big.Int).AndNot(ba, low))
+		check("SetLow", a.SetLow(n), new(big.Int).Or(ba, low))
+		check("ShlN", a.ShlN(n), new(big.Int).Mod(new(big.Int).Lsh(ba, uint(n)), modulus))
+		check("ShrN", a.ShrN(n), new(big.Int).Rsh(ba, uint(n)))
+	}
 }

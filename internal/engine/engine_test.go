@@ -2,10 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
 )
@@ -679,5 +682,106 @@ func TestEmptyBatches(t *testing.T) {
 	}
 	if got := e.RemoveBatch(nil); len(got) != 0 {
 		t.Errorf("RemoveBatch(nil) returned %d results", len(got))
+	}
+}
+
+// TestWidestSchemaParity runs the widest schema NewSchema accepts
+// (subscription.MaxAttrs attributes of subscription.MaxBits bits, whose
+// curve keys fill bits.KeyBits) on every curve: the curve round-trips
+// cells, the routed engine returns the approximate detector's answers and
+// Stats, and every cover either claims is genuine.
+func TestWidestSchemaParity(t *testing.T) {
+	attrs := make([]string, subscription.MaxAttrs)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+	}
+	schema := subscription.MustSchema(subscription.MaxBits, attrs...)
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 60, SlackFrac: 0.12, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At d = 16 the cube budget covers a sliver of a query region, and
+	// these planted parents are not found. A broad parent for every other
+	// child, stretched half way to both domain ends on every attribute,
+	// sits deep inside its child's region and is found within budget; the
+	// other children exhaust the budget.
+	stored := make([]*subscription.Subscription, 0, 2*len(pairs))
+	queries := make([]*subscription.Subscription, 0, len(pairs))
+	maxV := schema.MaxValue()
+	for j, p := range pairs {
+		stored = append(stored, p.Parent)
+		queries = append(queries, p.Child)
+		if j%2 == 1 {
+			continue
+		}
+		broad := subscription.New(schema)
+		for i, a := range attrs {
+			r := p.Child.Range(i)
+			if err := broad.SetRange(a, r.Lo/2, r.Hi+(maxV-r.Hi)/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stored = append(stored, broad)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, curve := range sfc.Names() {
+		t.Run(curve, func(t *testing.T) {
+			c, err := sfc.New(curve, sfc.Config{Dims: 2 * subscription.MaxAttrs, Bits: subscription.MaxBits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := make([]uint32, c.Dims())
+			for trial := 0; trial < 100; trial++ {
+				for i := range cell {
+					cell[i] = uint32(rng.Intn(1 << subscription.MaxBits))
+				}
+				if back := c.Cell(c.Key(cell)); !reflect.DeepEqual(back, cell) {
+					t.Fatalf("round trip %v -> %v", cell, back)
+				}
+			}
+
+			cfg := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, Curve: curve, MaxCubes: 2000}
+			ref := core.MustNew(cfg)
+			e := MustNew(Config{Detector: cfg, Shards: 4})
+			defer e.Close()
+			for _, s := range stored {
+				if _, err := ref.Insert(s); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Insert(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hits := 0
+			for i, q := range queries {
+				wantID, want, wantStats, err := ref.FindCover(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotID, got, gotStats, err := e.FindCover(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Ids are not compared: the engine numbers subscriptions
+				// in its own id space.
+				if got != want || !reflect.DeepEqual(gotStats, wantStats) {
+					t.Fatalf("query %d: engine (%v, %+v), detector (%v, %+v)", i, got, gotStats, want, wantStats)
+				}
+				if !got {
+					continue
+				}
+				hits++
+				if cover, ok := ref.Subscription(wantID); !ok || !cover.Covers(q) {
+					t.Fatalf("query %d: detector's cover %d is not genuine", i, wantID)
+				}
+				if cover, ok := e.Subscription(gotID); !ok || !cover.Covers(q) {
+					t.Fatalf("query %d: engine's cover %d is not genuine", i, gotID)
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no cover found")
+			}
+			t.Logf("%d/%d queries covered", hits, len(queries))
+		})
 	}
 }

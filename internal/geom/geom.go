@@ -47,9 +47,9 @@ func (r Rect) Dims() int { return len(r.Lo) }
 func (r Rect) Side(i int) uint64 { return uint64(r.Hi[i]) - uint64(r.Lo[i]) + 1 }
 
 // Volume returns the number of cells in r as a float64. Universes are
-// capped at d*k <= 512 bits but practical volumes stay far below the
-// float64 overflow threshold of 2^1024, so float64 is exact enough for the
-// (1−ε) coverage accounting the algorithm performs.
+// capped at d*k <= 256 bits, so a volume stays far below the float64
+// overflow threshold of 2^1024, and float64 is exact enough for the (1−ε)
+// coverage accounting the algorithm performs.
 func (r Rect) Volume() float64 {
 	v := 1.0
 	for i := range r.Lo {

@@ -8,6 +8,7 @@ package sfc
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"slices"
 
 	"sfccover/internal/bits"
@@ -32,16 +33,21 @@ type Curve interface {
 	Cell(key bits.Key) []uint32
 }
 
+// MaxDims is the widest universe a curve accepts: a subscription schema
+// has at most 8 attributes, each two dimensions of the covering index.
+// HilbertCurve.Key transposes a cell in a stack buffer of this size.
+const MaxDims = 16
+
 // Config carries the two parameters every curve needs.
 type Config struct {
-	Dims int // d >= 1
+	Dims int // d in [1,MaxDims]
 	Bits int // k in [1,32]
 }
 
-// Validate checks that the universe fits the key width.
+// Validate checks that the universe fits the curves and the key width.
 func (c Config) Validate() error {
-	if c.Dims < 1 {
-		return fmt.Errorf("sfc: dims %d < 1", c.Dims)
+	if c.Dims < 1 || c.Dims > MaxDims {
+		return fmt.Errorf("sfc: dims %d out of range [1,%d]", c.Dims, MaxDims)
 	}
 	if c.Bits < 1 || c.Bits > 32 {
 		return fmt.Errorf("sfc: bits %d out of range [1,32]", c.Bits)
@@ -88,19 +94,12 @@ func (r KeyRange) Contains(k bits.Key) bool {
 // given minimum corner and side length (a power of two). It relies on
 // Fact 2.1: for recursive curves the cube's cells form one contiguous,
 // block-aligned segment, so the range is the key of any member cell with
-// its low d*log2(side) bits cleared/set.
+// its low d*log2(side) bits cleared/set. The corner has one coordinate per
+// dimension, so d is len(corner).
 func CubeRange(c Curve, corner []uint32, side uint64) KeyRange {
-	low := trailingBits(c.Dims(), side)
+	low := len(corner) * mbits.Len64(side>>1) // floor(log2(side)); 0 for side <= 1
 	k := c.Key(corner)
 	return KeyRange{Lo: k.ClearLow(low), Hi: k.SetLow(low)}
-}
-
-func trailingBits(d int, side uint64) int {
-	lvl := 0
-	for s := side; s > 1; s >>= 1 {
-		lvl++
-	}
-	return d * lvl
 }
 
 // MergeRanges sorts ranges by Lo and coalesces ranges that touch

@@ -27,14 +27,16 @@ func TestConfigValidate(t *testing.T) {
 		{Dims: 0, Bits: 4},
 		{Dims: 2, Bits: 0},
 		{Dims: 2, Bits: 33},
-		{Dims: 17, Bits: 32}, // 544 bits > 512
+		{Dims: 17, Bits: 32}, // dims > MaxDims, 544 bits > 256
+		{Dims: 16, Bits: 32}, // 512 bits > 256
+		{Dims: 20, Bits: 2},  // dims > MaxDims
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("Validate(%+v) should fail", cfg)
 		}
 	}
-	good := []Config{{Dims: 1, Bits: 1}, {Dims: 16, Bits: 32}, {Dims: 8, Bits: 20}}
+	good := []Config{{Dims: 1, Bits: 1}, {Dims: 16, Bits: 16}, {Dims: 8, Bits: 20}}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v): %v", cfg, err)
@@ -101,7 +103,7 @@ func TestCurvesAreBijections(t *testing.T) {
 
 func TestCurveRoundTripRandomLargeUniverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	shapes := []struct{ d, k int }{{4, 16}, {8, 20}, {16, 32}, {6, 10}}
+	shapes := []struct{ d, k int }{{4, 16}, {8, 20}, {16, 16}, {6, 10}}
 	for _, sh := range shapes {
 		for _, c := range allCurvesB(t, sh.d, sh.k) {
 			for trial := 0; trial < 100; trial++ {

@@ -40,9 +40,9 @@ func (h *HilbertCurve) Bits() int { return h.cfg.Bits }
 // Key implements Curve: coordinates -> transposed Hilbert index ->
 // interleaved key (dimension 0 holds the most significant bit of each
 // group in Skilling's representation, matching bits.Interleave). The
-// transpose works on a stack copy: dims are capped at 16 by Config.
+// transpose works on a stack copy: Config caps dims at MaxDims.
 func (h *HilbertCurve) Key(cell []uint32) bits.Key {
-	var buf [16]uint32
+	var buf [MaxDims]uint32
 	x := buf[:len(cell)]
 	copy(x, cell)
 	axesToTranspose(x, h.cfg.Bits)

@@ -19,8 +19,8 @@ type Quantizer struct {
 
 // NewQuantizer builds a quantizer onto a bits-wide grid.
 func NewQuantizer(min, max float64, bits int) (*Quantizer, error) {
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("subscription: quantizer bits %d out of range [1,16]", bits)
+	if bits < 1 || bits > MaxBits {
+		return nil, fmt.Errorf("subscription: quantizer bits %d out of range [1,%d]", bits, MaxBits)
 	}
 	if !(min < max) || math.IsNaN(min) || math.IsInf(min, 0) || math.IsInf(max, 0) {
 		return nil, fmt.Errorf("subscription: invalid quantizer domain [%v,%v]", min, max)

@@ -5,8 +5,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sfccover/internal/bits"
 	"sfccover/internal/geom"
+	"sfccover/internal/sfc"
 )
+
+// TestWidestSchemaFitsKey ties NewSchema's limits to the covering index:
+// the widest schema's 2β-dimensional point must be a universe every curve
+// accepts, so widening MaxAttrs or MaxBits fails here rather than in
+// sfc.New.
+func TestWidestSchemaFitsKey(t *testing.T) {
+	if w := 2 * MaxAttrs * MaxBits; w > bits.KeyBits {
+		t.Fatalf("widest schema needs %d-bit keys, bits.KeyBits is %d", w, bits.KeyBits)
+	}
+	cfg := sfc.Config{Dims: 2 * MaxAttrs, Bits: MaxBits}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("widest schema's universe %+v: %v", cfg, err)
+	}
+}
 
 func TestNewSchemaValidation(t *testing.T) {
 	if _, err := NewSchema(0, "a"); err == nil {
