@@ -68,11 +68,14 @@ func (le *LevelEnum) Visit(e geom.Extremal, level int, visit func(corner []uint3
 	en.p, en.q = en.p[:d], en.q[:d]
 	en.lens, en.d, en.k, en.i = e.Len, d, k, level
 	en.visit, en.stopped = visit, false
-	// Algorithm 1: one pass per dimension s whose length has bit i set.
+	// Algorithm 1: one pass per dimension s whose length has bit i set,
+	// skipping passes that would select no rectangle at all.
 	for s := 0; s < d && !en.stopped; s++ {
 		if bits.BitOf(e.Len[s], level) == 1 {
 			en.s = s
-			en.enumRectangles(0)
+			if en.passYields() {
+				en.enumRectangles(0)
+			}
 		}
 	}
 	// Drop the references so the scratch does not pin caller state.
@@ -89,6 +92,22 @@ type enumerator struct {
 	q       []uint32 // current coordinate vector Q (reused)
 	visit   func(corner []uint32, side uint64) bool
 	stopped bool
+}
+
+// passYields reports whether the pass pinned at dimension s selects any
+// rectangle: every earlier dimension needs a nonzero bit above i and
+// every later one a nonzero bit at or above i. Choices are independent
+// per dimension, so a pass that passes this O(d) check reaches a
+// rectangle on every branch; one that fails it would walk the product of
+// the earlier dimensions' choices and emit nothing, unbounded by any
+// cube budget (at d = 16 such a walk can run for seconds).
+func (en *enumerator) passYields() bool {
+	for t, l := range en.lens {
+		if (t < en.s && l>>uint(en.i+1) == 0) || (t > en.s && l>>uint(en.i) == 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // enumRectangles is Algorithm 3: choose a nonzero bit P[t] from ℓ_t for

@@ -6,10 +6,11 @@ import (
 )
 
 // queryScratch is the per-worker reusable state of one query: the region
-// buffers, the decomposition arenas and the level enumerator. An Index
-// owns one (queries on an Index are single-goroutine, like its writes);
-// a ShardedIndex keeps a pool and checks one out per query. In steady
-// state no query-path buffer is allocated.
+// buffers, the decomposition arenas, the level enumerator and, on a
+// ShardedIndex, the slice cursor. An Index owns one (queries on an Index
+// are single-goroutine, like its writes); a ShardedIndex keeps a pool
+// and checks one out per query. In steady state no query-path buffer is
+// allocated.
 type queryScratch struct {
 	lens   []uint64 // query-region side lengths
 	rectLo []uint32 // region rectangle scratch
@@ -21,6 +22,8 @@ type queryScratch struct {
 	// one heap allocation per query. QueryTraced zeroes it, threads
 	// &sc.stats through the search, and returns it by value.
 	stats Stats
+	// cursor is a ShardedIndex query's slice cursor (unused by Index).
+	cursor sliceCursor
 }
 
 // region builds the extremal query region over the scratch lens buffer.

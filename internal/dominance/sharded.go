@@ -22,17 +22,20 @@ import (
 // range only to the shard slices it intersects (usually exactly one; a
 // range can straddle a slice boundary). Compared to running one full
 // search per shard, the expensive part of a query — cube enumeration — is
-// never duplicated, and concurrent queries serialize only on the brief
-// per-probe read locks of the shards they actually touch. Updates lock a
-// single shard for one ordered-structure operation.
+// never duplicated. A query holds the read lock of one slice at a time
+// across its consecutive probes into that slice (see sliceCursor), so
+// it pays a lock operation per slice switch, not per probe. Updates lock
+// a single shard for one ordered-structure operation; a writer waits at
+// most for the in-flight queries' remaining probes in its slice, at most
+// MaxCubes each when the cap is set.
 //
 // Slice boundaries are MOVABLE at runtime: routing goes through an
 // atomically swapped boundary table, and EqualizePair migrates a key
 // subrange between adjacent slices under a short write barrier (the two
 // slices' write locks). Readers never block on a migration that does not
-// touch the slices they probe; a probe that overlaps a boundary swap
-// detects the stale table and retries against the fresh one, so answers
-// are always consistent with some table the index actually published.
+// touch the slices they probe; a query re-checks its route after taking
+// a slice lock and retries against the fresh table, so answers are
+// always consistent with some table the index actually published.
 //
 // Because a sharded query probes the same cube sequence as a single-array
 // query over the same point set, its hit/miss outcome (and approximation
@@ -48,10 +51,8 @@ type ShardedIndex struct {
 	// probeHist, when set via SetObserver, receives sampled run-probe
 	// latencies.
 	probeHist *obs.Histogram
-	// rawProbe is the routed probe bound once at construction; binding
-	// the method value per query would allocate.
-	rawProbe probeFn
-	// scratchPool hands each concurrent query its own reusable buffers.
+	// scratchPool hands each concurrent query its own reusable buffers
+	// and its slice cursor.
 	scratchPool sync.Pool
 	// cache memoizes decompositions (nil when disabled); entries are
 	// immutable, so concurrent queries share them freely.
@@ -113,8 +114,14 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		keyLen: keyLen,
 		shards: make([]shardSlot, n),
 	}
-	x.rawProbe = x.probe
-	x.scratchPool.New = func() any { return new(queryScratch) }
+	x.scratchPool.New = func() any {
+		sc := new(queryScratch)
+		sc.cursor.x = x
+		// Bound once per scratch: binding the method value per query
+		// would allocate.
+		sc.cursor.probe = sc.cursor.find
+		return sc
+	}
 	if cfg.CacheSize >= 0 {
 		x.cache = newDecompCache(cfg.CacheSize)
 	}
@@ -281,26 +288,113 @@ func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
 	}
 }
 
-// probe answers one run probe by visiting only the shards whose key
-// slices intersect [lo, hi] — contiguous in shard order because the
-// partition follows key order. Any outcome is accepted only if the
-// boundary table did not change across the probe: a migration publishes
-// its new table before releasing the write barrier, so an unchanged
-// table proves the probed slices covered [lo, hi] in full and in order.
-// A changed table sends the probe back around: a miss could have skipped
-// migrated entries, and even a genuine hit could be non-minimal (a
-// migration can move the range's smallest entry into a slice this probe
-// had already passed), which would break the bit-identical-answers
-// guarantee the sharded index gives against the single-array one.
+// sliceCursor is one query's probe state on a ShardedIndex: the slice
+// whose read lock the query holds, if any, and that slice's key bounds.
+// While a slice's read lock is held neither of its boundaries can move —
+// EqualizePair(s-1) and EqualizePair(s) both need its write lock — so a
+// run inside the held slice is probed with no lock operation and no
+// table validation. At most one slice lock is held, and it is released
+// before another is taken, so the lock order is that of one lock per
+// probe. The cursor lives in the pooled queryScratch; QueryTraced
+// releases it on every exit path.
+type sliceCursor struct {
+	x *ShardedIndex
+	// tr receives per-slice probe counts; nil for untraced queries.
+	tr *obs.QueryTrace
+	// slot is the slice whose read lock is held (nil when none), s its
+	// index, and [first, last] the keys it owns.
+	slot        *shardSlot
+	s           int
+	first, last bits.Key
+	// probe is find bound once per scratch, so a query binds nothing.
+	probe probeFn
+}
+
+// find answers one run probe. A run inside the held slice costs two key
+// comparisons and the ordered search; a run in another single slice
+// moves the held lock there; a run that straddles a boundary releases
+// the held lock and takes the validated one-lock-at-a-time path.
 //
 //sfc:hotpath
-func (x *ShardedIndex) probe(lo, hi bits.Key) (uint64, bool) {
+func (c *sliceCursor) find(lo, hi bits.Key) (uint64, bool) {
+	if c.slot == nil || lo.Less(c.first) || c.last.Less(hi) {
+		c.release()
+		if !c.acquire(lo, hi) {
+			return c.x.probeSpan(lo, hi, c.tr)
+		}
+	}
+	c.tr.TouchSlice(c.s)
+	return c.slot.arr.FirstInRange(lo, hi)
+}
+
+// acquire read-locks the one slice that owns all of [lo, hi] and records
+// its bounds. The route is re-checked against the table loaded after the
+// lock is held — a migration publishes its table before lifting its
+// write barrier, so that table holds the slice's settled bounds — and a
+// move that landed between routing and locking sends it around again.
+// It reports false, holding nothing, when the run straddles a boundary.
+// The caller holds no slice lock.
+func (c *sliceCursor) acquire(lo, hi bits.Key) bool {
+	x := c.x
+	for {
+		tab := *x.table.Load()
+		s := routeKey(tab, lo)
+		if _, last := sliceRange(tab, s); last.Less(hi) {
+			return false
+		}
+		slot := &x.shards[s]
+		slot.mu.RLock()
+		first, last := sliceRange(*x.table.Load(), s)
+		if !lo.Less(first) && !last.Less(hi) {
+			c.slot, c.s, c.first, c.last = slot, s, first, last
+			return true
+		}
+		slot.mu.RUnlock()
+	}
+}
+
+// sliceRange returns the first and last key slice s owns under tab. The
+// last slice is unbounded above; every other slice ends one key before
+// the next slice's first key, which is never the zero key.
+func sliceRange(tab []bits.Key, s int) (first, last bits.Key) {
+	if s+1 == len(tab) {
+		return tab[s], bits.LowMask(bits.KeyBits)
+	}
+	last, _ = tab[s+1].Dec()
+	return tab[s], last
+}
+
+// release drops the held slice lock, if any.
+func (c *sliceCursor) release() {
+	if c.slot != nil {
+		c.slot.mu.RUnlock()
+		c.slot = nil
+	}
+}
+
+// probeSpan answers a run probe that straddles a slice boundary by
+// visiting, one read lock at a time, only the slices whose key ranges
+// intersect [lo, hi] — contiguous in shard order because the partition
+// follows key order. Any outcome is accepted only if the boundary table
+// did not change across the probe: a migration publishes its new table
+// before releasing the write barrier, so an unchanged table proves the
+// probed slices covered [lo, hi] in full and in order. A changed table
+// sends the probe back around: a miss could have skipped migrated
+// entries, and even a genuine hit could be non-minimal (a migration can
+// move the range's smallest entry into a slice this probe had already
+// passed), which would break the bit-identical-answers guarantee the
+// sharded index gives against the single-array one. Every slice visited
+// is counted against tr, which may be nil.
+//
+//sfc:hotpath
+func (x *ShardedIndex) probeSpan(lo, hi bits.Key, tr *obs.QueryTrace) (uint64, bool) {
 	for {
 		tabPtr := x.table.Load()
 		first, last := routeKey(*tabPtr, lo), routeKey(*tabPtr, hi)
 		var id uint64
 		ok := false
 		for i := first; i <= last && !ok; i++ {
+			tr.TouchSlice(i)
 			s := &x.shards[i]
 			s.mu.RLock()
 			id, ok = s.arr.FirstInRange(lo, hi)

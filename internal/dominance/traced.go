@@ -88,7 +88,9 @@ func dispatchSearch(curve sfc.Curve, k, maxCubes int, cache *decompCache, sc *qu
 
 // QueryTraced is Query with an optional trace record: stage timings
 // plus per-slice probe counts (tr.Slices) showing how the probe traffic
-// spread over the key slices. tr may be nil.
+// spread over the key slices. tr may be nil. Traced and untraced
+// queries probe through the same slice cursor; a traced one also counts
+// its probes per slice and samples probe latency into the histogram.
 //
 //sfc:hotpath
 func (x *ShardedIndex) QueryTraced(q []uint32, eps float64, tr *obs.QueryTrace) (uint64, bool, Stats, error) {
@@ -99,7 +101,7 @@ func (x *ShardedIndex) QueryTraced(q []uint32, eps float64, tr *obs.QueryTrace) 
 		return 0, false, Stats{}, errEps(eps)
 	}
 	sc := x.scratchPool.Get().(*queryScratch)
-	defer x.scratchPool.Put(sc)
+	defer x.endQuery(sc)
 	sc.stats = Stats{}
 	stats := &sc.stats
 	region := sc.region(q, x.cfg.Bits)
@@ -108,7 +110,11 @@ func (x *ShardedIndex) QueryTraced(q []uint32, eps float64, tr *obs.QueryTrace) 
 	if x.budget != nil {
 		eps, maxCubes = x.budget.adapt(eps, maxCubes, x.cfg.Dims, region)
 	}
-	probe := x.tracedProbe(tr)
+	sc.cursor.tr = tr
+	probe := sc.cursor.probe
+	if tr != nil {
+		probe = sampledProbe(probe, x.probeHist)
+	}
 	id, ok, err := dispatchSearch(x.curve, x.cfg.Bits, maxCubes, x.cache, sc, probe, region, eps, stats, tr)
 	if x.budget != nil && err == nil {
 		x.budget.record(stats, eps)
@@ -116,52 +122,12 @@ func (x *ShardedIndex) QueryTraced(q []uint32, eps float64, tr *obs.QueryTrace) 
 	return id, ok, sc.stats, err
 }
 
-// tracedProbe picks the probe implementation for one query: the plain
-// routed probe for untraced queries (no wrapper, no clock reads), else
-// a wrapper that counts probes per slice into tr and samples probe
-// latency into the histogram. The counter lives in the closure — each
-// traced query owns its own — so traced probing adds no shared state
-// to the lock-free probe path.
-func (x *ShardedIndex) tracedProbe(tr *obs.QueryTrace) probeFn {
-	if tr == nil {
-		return x.rawProbe
-	}
-	hist := x.probeHist
-	n := 0
-	return func(lo, hi bits.Key) (uint64, bool) {
-		n++
-		if hist != nil && n&probeSampleMask == 1 {
-			t0 := time.Now()
-			id, ok := x.probeTouched(lo, hi, tr)
-			hist.Observe(time.Since(t0))
-			return id, ok
-		}
-		return x.probeTouched(lo, hi, tr)
-	}
-}
-
-// probeTouched is probe with per-slice trace accounting: identical
-// retry-validated routing, but every slice visited is counted against
-// tr. tr may be nil (TouchSlice is nil-safe).
-//
-//sfc:hotpath
-func (x *ShardedIndex) probeTouched(lo, hi bits.Key, tr *obs.QueryTrace) (uint64, bool) {
-	for {
-		tabPtr := x.table.Load()
-		first, last := routeKey(*tabPtr, lo), routeKey(*tabPtr, hi)
-		var id uint64
-		ok := false
-		for i := first; i <= last && !ok; i++ {
-			tr.TouchSlice(i)
-			s := &x.shards[i]
-			s.mu.RLock()
-			id, ok = s.arr.FirstInRange(lo, hi)
-			s.mu.RUnlock()
-		}
-		if x.table.Load() == tabPtr {
-			return id, ok
-		}
-	}
+// endQuery releases the query's held slice lock — deferred, so on every
+// exit path, a panic included — and returns its scratch to the pool.
+func (x *ShardedIndex) endQuery(sc *queryScratch) {
+	sc.cursor.release()
+	sc.cursor.tr = nil
+	x.scratchPool.Put(sc)
 }
 
 // sampledProbe wraps a raw probe with 1-in-8 latency sampling; it

@@ -8,8 +8,9 @@
 //     contiguous key range, a query decomposes its region once — outside
 //     any lock — and routes each cube's range to the one or two slices it
 //     intersects: the expensive enumeration is never duplicated across
-//     shards, and the read path contends only on brief per-probe read
-//     locks. This is dominance.ShardedIndex underneath.
+//     shards, and a query holds one slice read lock at a time across its
+//     consecutive probes into that slice. This is dominance.ShardedIndex
+//     underneath.
 //
 //   - StrategyLinear and StrategyKDTree, the exact baselines, have no
 //     decomposition to share. They run N independent core.Detector

@@ -723,6 +723,23 @@ func TestWidestSchemaParity(t *testing.T) {
 		}
 		stored = append(stored, broad)
 	}
+	// Uniformly random queries too: their regions are where d = 16
+	// enumeration passes select no rectangle, which once stalled a query
+	// for seconds outside the cube budget.
+	urng := rand.New(rand.NewSource(23))
+	for j := 0; j < 60; j++ {
+		q := subscription.New(schema)
+		for _, a := range attrs {
+			lo, hi := urng.Uint32()%(maxV+1), urng.Uint32()%(maxV+1)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if err := q.SetRange(a, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queries = append(queries, q)
+	}
 	rng := rand.New(rand.NewSource(19))
 	for _, curve := range sfc.Names() {
 		t.Run(curve, func(t *testing.T) {
